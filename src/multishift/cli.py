@@ -122,10 +122,17 @@ def cmd_witness(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.cert) as fh:
         data = json.load(fh)
+    missing = [name for name in ("spec", "l", "certificate") if not isinstance(data, dict) or name not in data]
+    if missing:
+        raise SpecError(f"{args.cert}: certificate file is missing {missing}")
     spec = spec_from_dict(data["spec"])
     l = data["l"]
+    if not isinstance(l, int) or isinstance(l, bool) or l < 2:
+        raise SpecError(f"{args.cert}: chain base 'l' must be an integer >= 2, got {l!r}")
     raw = data["certificate"]
     raw_list = raw if isinstance(raw, list) else [raw]
+    if not raw_list:
+        raise SpecError(f"{args.cert}: the certificate list is empty")
     results = []
     ok_all = True
     for item in raw_list:
@@ -153,6 +160,9 @@ def cmd_probe(args) -> int:
             }
         )
         return 0
+    missing = [f"--{name}" for name in ("u", "v", "q") if getattr(args, name) is None]
+    if missing:
+        raise SpecError(f"--mode directional needs {', '.join(missing)}")
     u = _pattern(args.u, spec, args.l)
     v = _pattern(args.v, spec, args.l)
     verdict = oracle.probe_directional_q(spec, args.l, args.q, u, v, budget)

@@ -21,7 +21,6 @@ from .shift_core import ShiftSpec, alphabet_of
 
 __all__ = [
     "ENUMERATION_GUARD",
-    "FiberConstraint",
     "MultiplierConstraintSet",
     "Pattern",
     "assemble",
@@ -30,7 +29,6 @@ __all__ = [
     "count_blocks",
     "enumerate_blocks",
     "fiber",
-    "fiber_constraints",
     "format_pattern",
     "inadmissible_classes",
     "is_admissible",
@@ -136,20 +134,6 @@ class Pattern:
         return {rep: tuple(sorted(cons)) for rep, cons in sorted(groups.items())}
 
 
-@dataclass(frozen=True)
-class FiberConstraint:
-    """Constraints of one pattern along a single chain, in base-space coordinates."""
-
-    representative: int
-    base: int
-    chain_constraints: tuple[tuple[int, int], ...]  # (depth, symbol), depths distinct
-
-
-def fiber_constraints(u: Pattern) -> list[FiberConstraint]:
-    """The pattern's constraints routed to base-space coordinates, chain by chain."""
-    return [FiberConstraint(rep, u.base, cons) for rep, cons in u.fibers().items()]
-
-
 def fiber(u: Pattern, rep: int) -> tuple[tuple[int, int], ...]:
     """Partial base-space word read along the chain of ``rep``.
 
@@ -224,7 +208,7 @@ def enumerate_blocks(omega: ShiftSpec, l: int, n: int) -> set[str]:
     return {"".join(chars) for chars in blocks_out}
 
 
-def assemble(fibers: Mapping[int, str], l: int, length: int, omega: Optional[ShiftSpec] = None) -> str:
+def assemble(fibers: Mapping[int, str], l: int, length: int) -> str:
     """Build the block whose chain fibers are the given base-space words.
 
     Every base-free representative up to ``length`` needs a word covering

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from . import mult_shift, shift_core, witness as witness_mod
 from .errors import ConnectorNotFound, InadmissiblePattern, PreconditionFailed, UndecidableProperty
-from .lambda_arith import a_set, decompose
+from .lambda_arith import a_set, decompose, product_offset_bound
 from .mult_shift import Pattern, multiplier_constraints, parse_pattern
 from .shift_core import PROPERTIES, SftSpec, ShiftSpec, SpacingSpec, sft, spec_to_dict
 from .witness import WitnessCertificate, try_certificate
@@ -86,14 +86,6 @@ def budget_from_env() -> SearchBudget:
 # exact decision core
 
 
-def _pair_decision(omega: ShiftSpec, l: int, u: Pattern, v: Pattern, multiplier: int) -> bool:
-    """Exact: does some point carry u at its support and v at the scaled support?"""
-    mcs = multiplier_constraints(u, v, multiplier)
-    if not mcs.satisfiable_form:
-        return False
-    return all(shift_core.partial_extendable(omega, cons) for _, cons in mcs.groups)
-
-
 def exists_witness_exact(
     omega: ShiftSpec, l: int, u: Pattern, v: Pattern, alpha: int, k: int
 ) -> Optional[WitnessCertificate]:
@@ -119,13 +111,18 @@ def verify_certificate(omega: ShiftSpec, l: int, cert: WitnessCertificate) -> tu
 
     Re-derives the constraint groups from the certificate's patterns and
     multiplier, then checks the prefix satisfies them and is admissible.
+    A connector cover, when present, is checked claim by claim.
     """
     try:
         u = parse_pattern(cert.u_literal, omega, base=l)
         v = parse_pattern(cert.v_literal, omega, base=l)
     except ValueError as exc:
         return False, f"unparseable patterns: {exc}"
-    if cert.directional_base >= 2 and cert.multiplier != u.length * cert.alpha * cert.directional_base**cert.k:
+    if (
+        cert.directional_base < 2
+        or cert.k > cert.multiplier.bit_length()  # base**k would exceed the multiplier
+        or cert.multiplier != u.length * cert.alpha * cert.directional_base**cert.k
+    ):
         return False, "multiplier disagrees with (alpha, k, directional base)"
     mcs = multiplier_constraints(u, v, cert.multiplier)
     if not mcs.satisfiable_form:
@@ -142,7 +139,51 @@ def verify_certificate(omega: ShiftSpec, l: int, cert: WitnessCertificate) -> tu
                 return False, f"prefix violates the constraint at position {pos}"
     if not mult_shift.is_admissible(Pattern.block(cert.prefix, l, omega)):
         return False, "prefix is not an admissible block"
+    # last: the prefix, now known to cover |u| * |v|, bounds the cover's offset computations
+    if cert.cover is not None:
+        why = _cover_fault(omega, l, u, v, cert)
+        if why:
+            return False, f"cover: {why}"
     return True, "ok"
+
+
+def _cover_fault(omega: ShiftSpec, l: int, u: Pattern, v: Pattern, cert: WitnessCertificate) -> Optional[str]:
+    """What is wrong with the certificate's connector cover, or None.
+
+    The cover claims that u's fiber words, each at depth 1, connect to
+    v's fiber words, each at depth common_offset + r + 1, for every
+    (u-fiber, v-fiber, pad r <= offset_bound), with common_offset =
+    k1 + n*k for the modulus l**n.
+    """
+    cover = cert.cover
+    dq = decompose(cert.directional_base, l)
+    if dq.alpha != 1:
+        return f"directional base {cert.directional_base} is not a power of {l}"
+    n = dq.k
+    if cover.offset_bound != product_offset_bound(l, u.length, v.length) + n - 1:
+        return f"offset bound {cover.offset_bound} is not the product offset bound plus {n - 1}"
+    if cover.common_offset != decompose(u.length, l).k + n * cert.k:
+        return f"common offset {cover.common_offset} is not k1 + {n}*{cert.k}"
+    u_fibers, v_fibers = u.fibers(), v.fibers()
+    listed = sorted((urep, r, vrep) for urep, _, r, vrep, _, _ in cover.pairs)
+    expected = sorted(itertools.product(u_fibers, range(cover.offset_bound + 1), v_fibers))
+    if listed != expected:
+        return "pairs do not list every (u fiber, v fiber, pad) triple exactly once"
+    for urep, uw, r, vrep, pad, vw in cover.pairs:
+        if len(pad) != r:
+            return f"pad {pad!r} does not have length {r}"
+        if not all(d <= len(uw) and int(uw[d - 1]) == s for d, s in u_fibers[urep]):
+            return f"word {uw!r} does not carry u's fiber on chain {urep}"
+        if not all(d <= len(vw) and int(vw[d - 1]) == s for d, s in v_fibers[vrep]):
+            return f"word {vw!r} does not carry v's fiber on chain {vrep}"
+        pins = dict(enumerate(map(int, uw), start=1))
+        start = cover.common_offset + r + 1
+        for i, c in enumerate(map(int, vw)):
+            if pins.setdefault(start + i, c) != c:
+                return f"u's word {uw!r} and v's word {vw!r} overlap with different symbols at pad {r}"
+        if not shift_core.partial_extendable(omega, tuple(sorted(pins.items()))):
+            return f"u's word {uw!r} and v's word {vw!r} do not connect at pad {r}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -150,104 +191,70 @@ def verify_certificate(omega: ShiftSpec, l: int, cert: WitnessCertificate) -> tu
 
 
 class _PairProbe:
-    """Per-pair decision engine for multipliers |u| * alpha * (l**n)**k.
+    """Per-pair decision engine for the multipliers |u| * alpha * q**k.
 
-    Precomputes both fiber decompositions; each (alpha, k) query then
-    costs one chain-class merge plus memoized reachability checks.
+    With q = a_q * l**n (l not dividing a_q), v's chain j lands on the
+    chain of alpha1 * alpha * a_q**k * j, n * k levels deeper.  Both fiber
+    decompositions are precomputed; each (alpha, k) query then costs one
+    chain-class merge plus memoized reachability checks.
     """
 
-    def __init__(self, omega: ShiftSpec, l: int, u: Pattern, v: Pattern, n: int = 1):
+    def __init__(self, omega: ShiftSpec, l: int, u: Pattern, v: Pattern, q: int):
         self.omega = omega
         self.l = l
-        self.n = n
-        self.u = u
-        self.v = v
-        d = decompose(u.length, l)
-        self.alpha1 = d.alpha
-        self.k1 = d.k
+        dq = decompose(q, l)
+        self.a_q = dq.alpha
+        self.n = dq.k
+        du = decompose(u.length, l)
+        self.alpha1 = du.alpha
+        self.k1 = du.k
         self.u_groups = u.fibers()
         self.v_groups = v.fibers()
         self._targets: dict[int, list[tuple[int, int, tuple[tuple[int, int], ...]]]] = {}
 
-    def _target_layout(self, alpha: int) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
-        layout = self._targets.get(alpha)
+    def _target_layout(self, m: int) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
+        """(target chain, depth offset before the n*k shift, v's fiber) per v chain, for m = alpha * a_q**k."""
+        layout = self._targets.get(m)
         if layout is None:
             layout = []
             for j, cons in self.v_groups.items():
-                d = decompose(self.alpha1 * alpha * j, self.l)
+                d = decompose(self.alpha1 * m * j, self.l)
                 layout.append((d.alpha, d.k + self.k1, cons))
-            self._targets[alpha] = layout
+            self._targets[m] = layout
         return layout
 
-    def decide(self, alpha: int, k: int) -> bool:
+    def _merge(self, alpha: int, k: int) -> tuple[dict[int, dict[int, int]], list[int]]:
+        """Per-chain pins at (alpha, k), and the chains pinned twice with different symbols."""
         shift = self.n * k
-        groups: dict[int, dict[int, int]] = {}
-        for rep, cons in self.u_groups.items():
-            groups[rep] = dict(cons)
-        for target, base, cons in self._target_layout(alpha):
+        groups = {rep: dict(cons) for rep, cons in self.u_groups.items()}
+        conflicts = []
+        for target, base, cons in self._target_layout(alpha * self.a_q**k):
             bucket = groups.setdefault(target, {})
             for depth, sym in cons:
-                pos = base + shift + depth
-                old = bucket.get(pos)
-                if old is not None and old != sym:
-                    return False
-                bucket[pos] = sym
-        for cons in groups.values():
-            if not shift_core.partial_extendable(self.omega, tuple(sorted(cons.items()))):
+                if bucket.setdefault(base + shift + depth, sym) != sym:
+                    conflicts.append(target)
+        return groups, conflicts
+
+    def decide(self, alpha: int, k: int) -> bool:
+        groups, conflicts = self._merge(alpha, k)
+        if conflicts:
+            return False
+        for pins in groups.values():
+            if not shift_core.partial_extendable(self.omega, tuple(sorted(pins.items()))):
                 return False
         return True
 
     def class_feasible(self, alpha: int, k: int) -> dict[int, bool]:
         """Per-chain feasibility at (alpha, k), for obstruction transcripts."""
-        shift = self.n * k
-        groups: dict[int, dict[int, int]] = {rep: dict(cons) for rep, cons in self.u_groups.items()}
-        ok: dict[int, bool] = {}
-        for target, base, cons in self._target_layout(alpha):
-            bucket = groups.setdefault(target, {})
-            conflict = False
-            for depth, sym in cons:
-                pos = base + shift + depth
-                if bucket.get(pos, sym) != sym:
-                    conflict = True
-                bucket[pos] = sym
-            if conflict:
-                ok[target] = False
-        for rep, bucket in groups.items():
-            if rep not in ok:
-                ok[rep] = shift_core.partial_extendable(self.omega, tuple(sorted(bucket.items())))
-        return ok
+        groups, conflicts = self._merge(alpha, k)
+        return {
+            rep: rep not in conflicts and shift_core.partial_extendable(self.omega, tuple(sorted(pins.items())))
+            for rep, pins in groups.items()
+        }
 
 
 # ---------------------------------------------------------------------------
 # all-k infeasibility proofs (finite-type base spaces, power moduli)
-
-
-def _states_after(g: shift_core.DeBruijnGraph, cmap: dict[int, int], through: int) -> frozenset[int]:
-    """Window states at end-depth ``through`` consistent with the pins."""
-    L = g.window
-    states = set()
-    for i, vtx in enumerate(g.vertices):
-        if all(cmap.get(p + 1) in (None, int(vtx[p])) for p in range(L)):
-            states.add(i)
-    for t in range(L + 1, through + 1):
-        req = cmap.get(t)
-        states = {d for s in states for sym, d in g.out[s] if req is None or sym == req}
-        if not states:
-            break
-    return frozenset(states)
-
-
-def _orbit(g: shift_core.DeBruijnGraph, start: frozenset[int]) -> tuple[int, int]:
-    """Preperiod and period of the unconstrained-step state-set sequence."""
-    seen = {start: 0}
-    cur = start
-    idx = 0
-    while True:
-        cur = frozenset(d for s in cur for _, d in g.out[s])
-        idx += 1
-        if cur in seen:
-            return seen[cur], idx - seen[cur]
-        seen[cur] = idx
 
 
 def _forall_k_proof(probe: _PairProbe, alpha: int) -> Optional[dict]:
@@ -272,10 +279,10 @@ def _forall_k_proof(probe: _PairProbe, alpha: int) -> Optional[dict]:
         static = dict(probe.u_groups.get(target, ()))
         static_max = max(list(static) + [g.window])
         d_min = min(d for d, _ in cons)
-        start = _states_after(g, static, static_max)
+        start = shift_core.states_after(g, static, static_max)
         if not start:
             return None  # static side already unsatisfiable: caller's problem
-        preperiod, period = _orbit(g, start)
+        preperiod, period = shift_core.state_orbit(g, start)
         # least k with the dynamic block strictly past the static part and the orbit settled
         need = static_max + preperiod + 1
         k_min = max(0, -((base + d_min - need) // n))
@@ -338,21 +345,11 @@ def probe_directional_q(
     mult_shift.require_admissible(v, "v")
     if q < 2:
         raise ValueError("modulus must be >= 2")
-    n = _power_of(q, l)
-    probe = _PairProbe(omega, l, u, v, n) if n else None
+    probe = _PairProbe(omega, l, u, v, q)
     alphas = a_set(q, budget.alpha_bound)
     failures = []
     for k in range(budget.k_bound + 1):
-        bad = None
-        for alpha in alphas:
-            ok = (
-                probe.decide(alpha, k)
-                if probe is not None
-                else _pair_decision(omega, l, u, v, u.length * alpha * q**k)
-            )
-            if not ok:
-                bad = alpha
-                break
+        bad = next((alpha for alpha in alphas if not probe.decide(alpha, k)), None)
         if bad is None:
             return DirectionalVerdict(
                 q, mult_shift.format_pattern(u), mult_shift.format_pattern(v),
@@ -360,7 +357,7 @@ def probe_directional_q(
             )
         failures.append((k, bad))
     proof = None
-    if probe is not None:
+    if probe.a_q == 1:  # the all-k proof needs a power modulus
         always_failing = [a for a in alphas if all(not probe.decide(a, k) for k in range(budget.k_bound + 1))]
         for alpha in always_failing:
             proof = _forall_k_proof(probe, alpha)
@@ -371,15 +368,6 @@ def probe_directional_q(
         q, mult_shift.format_pattern(u), mult_shift.format_pattern(v),
         status, None, tuple(failures), proof, budget,
     )
-
-
-def _power_of(q: int, l: int) -> Optional[int]:
-    """n with q == l**n, else None."""
-    n = 0
-    while q > 1 and q % l == 0:
-        q //= l
-        n += 1
-    return n if q == 1 and n >= 1 else None
 
 
 @dataclass(frozen=True)
@@ -428,7 +416,7 @@ def probe_transitive_X(omega: ShiftSpec, l: int, budget: SearchBudget) -> Transi
     witnessed = 0
     for u in pats:
         for v in pats:
-            probe = _PairProbe(omega, l, u, v, 1)
+            probe = _PairProbe(omega, l, u, v, l)
             if any(probe.decide(alpha, k) for alpha, k in order):
                 witnessed += 1
                 continue
@@ -667,7 +655,7 @@ def _check_transitivity(row, spec, l, budget, pats) -> None:
         row.notes.append("no placement obstruction found within the window graph")
         return
     u, v, word, offset = refutation
-    probe = _PairProbe(spec, l, u, v, 1)
+    probe = _PairProbe(spec, l, u, v, l)
     found = [(a, k) for a, k in _alpha_k_order(l, budget) if probe.decide(a, k)]
     if found:
         row.hard.append(
@@ -700,7 +688,7 @@ def _nonextensible_refutation(spec: ShiftSpec, l: int):
         return None
     cyc = shift_core._cycle_vertices(g)
     reach = shift_core._reachable_from(g, cyc)
-    dead = [i for i in range(len(g.vertices)) if i not in reach]
+    dead = [i for i in range(len(g.vertices)) if not reach >> i & 1]
     if not dead:
         return None
     word = g.vertices[dead[0]]
@@ -810,7 +798,7 @@ def _check_mixing(row, spec, l, budget, pats) -> None:
             row.notes.append(f"mixing window above l**{threshold} is out of budget reach")
             return
         for u, v in itertools.product(pats, pats):
-            probe = _PairProbe(spec, l, u, v, 1)
+            probe = _PairProbe(spec, l, u, v, l)
             bad = [(a, k) for a, k in window if not probe.decide(a, k)]
             if bad:
                 row.hard.append(
@@ -837,7 +825,7 @@ def _check_mixing(row, spec, l, budget, pats) -> None:
     # predicted not mixing: find multipliers past every threshold that fail
     proof = None
     for u, v in itertools.product(pats, pats):
-        probe = _PairProbe(spec, l, u, v, 1)
+        probe = _PairProbe(spec, l, u, v, l)
         if all(probe.decide(a, k) for a, k in _alpha_k_order(l, budget)):
             continue
         for alpha in a_set(l, budget.alpha_bound):

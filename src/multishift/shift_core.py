@@ -196,6 +196,11 @@ class DeBruijnGraph:
     appends one symbol and shifts the window.  After pruning, every
     vertex has an out-edge, so finite paths always extend to points and
     path labels of length >= window are exactly the admissible words.
+
+    State sets are int bitmasks over vertex indices.  Vertices are in
+    sorted window order, so the lowest set bit of a mask is the least
+    window, and the successors of one vertex (which share all but their
+    last symbol) order by appended symbol.
     """
 
     def __init__(self, window: int, vertices: Sequence[str], out, pruned: Sequence[str]):
@@ -204,6 +209,21 @@ class DeBruijnGraph:
         self.index = {v: i for i, v in enumerate(self.vertices)}
         self.out = tuple(tuple(sorted(edges)) for edges in out)  # per vertex: (symbol, dst)
         self.pruned = tuple(pruned)
+        n = len(self.vertices)
+        self.full = (1 << n) - 1
+        # per symbol (None: any symbol), per vertex: mask of successors / predecessors
+        self.succ: dict[Optional[int], list[int]] = {None: [0] * n}
+        self.pred: dict[Optional[int], list[int]] = {None: [0] * n}
+        for u, edges in enumerate(self.out):
+            for s, d in edges:
+                for sym in (s, None):
+                    self.succ.setdefault(sym, [0] * n)[u] |= 1 << d
+                    self.pred.setdefault(sym, [0] * n)[d] |= 1 << u
+        # per window position, per symbol: mask of windows carrying that symbol there
+        self.at: list[dict[int, int]] = [{} for _ in range(window)]
+        for i, v in enumerate(self.vertices):
+            for p, ch in enumerate(v):
+                self.at[p][int(ch)] = self.at[p].get(int(ch), 0) | 1 << i
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -218,7 +238,6 @@ class _Ctx:
         "_blocks",
         "_extendable",
         "_least",
-        "_least_free",
         "_verdicts",
         "_gamma",
         "_gap_index",
@@ -230,7 +249,6 @@ class _Ctx:
         self._blocks: dict[int, frozenset[str]] = {}
         self._extendable: dict[tuple, bool] = {}
         self._least: dict[tuple, Optional[str]] = {}
-        self._least_free = ""  # least point prefix, grown on demand
         self._verdicts: dict[str, PropertyVerdict] = {}
         self._gamma: Optional[int] = None
         self._gap_index: dict[int, int] = {}
@@ -413,23 +431,57 @@ def _sft_extendable(ctx: _Ctx, cmap: Mapping[int, int]) -> bool:
         return True
     if any(sym >= ctx.spec.alphabet or sym < 0 for sym in cmap.values()):
         return False
-    hi = max(cmap)
-    L = g.window
-    states = set()
-    for i, v in enumerate(g.vertices):
-        if all(cmap.get(p + 1) in (None, int(v[p])) for p in range(min(L, hi))):
-            states.add(i)
-    for t in range(L + 1, hi + 1):
-        req = cmap.get(t)
-        nxt = set()
-        for u in states:
-            for s, d in g.out[u]:
-                if req is None or s == req:
-                    nxt.add(d)
-        if not nxt:
-            return False
-        states = nxt
-    return bool(states)
+    return bool(states_after(g, cmap, max(cmap)))
+
+
+# ---------------------------------------------------------------------------
+# state-set engine: every walk over sets of window states goes through _advance
+
+
+def _advance(table: Mapping[Optional[int], Sequence[int]], states: int, sym: Optional[int] = None) -> int:
+    """One step of a state set along ``table`` (a graph's succ or pred), pinned to ``sym`` unless None."""
+    rows = table.get(sym)
+    if rows is None:
+        return 0
+    out = 0
+    while states:
+        low = states & -states
+        out |= rows[low.bit_length() - 1]
+        states ^= low
+    return out
+
+
+def _pinned_windows(g: DeBruijnGraph, cmap: Mapping[int, int]) -> int:
+    """Windows (as a mask) agreeing with every pin at positions 1..window."""
+    states = g.full
+    for p, pos_masks in enumerate(g.at, start=1):
+        sym = cmap.get(p)
+        if sym is not None:
+            states &= pos_masks.get(sym, 0)
+    return states
+
+
+def states_after(g: DeBruijnGraph, cmap: Mapping[int, int], through: int) -> int:
+    """Window states (as a mask) at end position ``through`` of paths satisfying the pins."""
+    states = _pinned_windows(g, cmap)
+    for t in range(g.window + 1, through + 1):
+        if not states:
+            break
+        states = _advance(g.succ, states, cmap.get(t))
+    return states
+
+
+def state_orbit(g: DeBruijnGraph, start: int) -> tuple[int, int]:
+    """Preperiod and period of the unconstrained-step orbit of a state set."""
+    seen = {start: 0}
+    cur = start
+    idx = 0
+    while True:
+        cur = _advance(g.succ, cur)
+        idx += 1
+        if cur in seen:
+            return seen[cur], idx - seen[cur]
+        seen[cur] = idx
 
 
 def _spacing_extendable(spec: SpacingSpec, cmap: Mapping[int, int]) -> bool:
@@ -480,44 +532,20 @@ def _sft_least_word(ctx: _Ctx, length: int, cmap: Mapping[int, int]) -> Optional
     if not g.vertices:
         return None
     L = g.window
-    if length <= L:
-        for v in g.vertices:  # sorted, so first hit is least
-            if all(cmap.get(p + 1) in (None, int(v[p])) for p in range(length)):
-                return v[:length]
-        return None
     # feasible[t] = states (window ending at position t) from which t+1..length completes
-    feasible: dict[int, set[int]] = {length: set(range(len(g.vertices)))}
+    feasible = [g.full] * (max(length, L) + 1)
     for t in range(length, L, -1):
-        req = cmap.get(t)
-        prev = set()
-        for u in range(len(g.vertices)):
-            for s, d in g.out[u]:
-                if (req is None or s == req) and d in feasible[t]:
-                    prev.add(u)
-                    break
-        feasible[t - 1] = prev
-    start = None
-    for v in g.vertices:  # sorted, so the first feasible start is least
-        u = g.index[v]
-        if u in feasible[L] and all(cmap.get(p + 1) in (None, int(v[p])) for p in range(L)):
-            start = u
-            break
-    if start is None:
+        feasible[t - 1] = _advance(g.pred, feasible[t], cmap.get(t))
+    states = feasible[L] & _pinned_windows(g, cmap)
+    if not states:
         return None
-    word = g.vertices[start]
-    state = start
+    state = (states & -states).bit_length() - 1  # lowest bit: the least window
+    word = [g.vertices[state][:length]]
     for t in range(L + 1, length + 1):
-        req = cmap.get(t)
-        step = None
-        for s, d in g.out[state]:
-            if (req is None or s == req) and d in feasible[t]:
-                step = (s, d)
-                break
-        if step is None:
-            return None  # unreachable given feasibility precomputation
-        word += _DIGITS[step[0]]
-        state = step[1]
-    return word
+        states = _advance(g.succ, 1 << state, cmap.get(t)) & feasible[t]
+        state = (states & -states).bit_length() - 1  # least successor: least appended symbol
+        word.append(g.vertices[state][-1])
+    return "".join(word)
 
 
 def _spacing_least_word(spec: SpacingSpec, length: int, cmap: Mapping[int, int]) -> Optional[str]:
@@ -578,7 +606,6 @@ def _cycle_vertices(g: DeBruijnGraph) -> set[int]:
     comps = _scc_partition(g)
     out = set()
     for comp in comps:
-        members = set(comp)
         if len(comp) > 1:
             out.update(comp)
         else:
@@ -588,15 +615,12 @@ def _cycle_vertices(g: DeBruijnGraph) -> set[int]:
     return out
 
 
-def _reachable_from(g: DeBruijnGraph, sources: set[int]) -> set[int]:
-    seen = set(sources)
-    queue = list(sources)
-    while queue:
-        u = queue.pop()
-        for _, d in g.out[u]:
-            if d not in seen:
-                seen.add(d)
-                queue.append(d)
+def _reachable_from(g: DeBruijnGraph, sources: set[int]) -> int:
+    """Mask of the vertices reachable (in zero or more steps) from the sources."""
+    seen = frontier = sum(1 << u for u in sources)
+    while frontier:
+        frontier = _advance(g.succ, frontier) & ~seen
+        seen |= frontier
     return seen
 
 
@@ -627,27 +651,14 @@ def _primitivity_exponent(ctx: _Ctx) -> int:
         return ctx._gamma
     g = ctx.graph
     n = len(g.vertices)
-    rows = [0] * n
-    for u in range(n):
-        for _, d in g.out[u]:
-            rows[u] |= 1 << d
-    full = (1 << n) - 1
-    power = rows[:]
+    power = list(g.succ[None])  # power[u]: vertices at the end of a length-t path from u
     cap = (n - 1) * (n - 1) + 2
     for t in range(1, cap + 1):
-        if all(r == full for r in power):
+        if all(r == g.full for r in power):
             ctx._gamma = t
             return t
-        power = [_row_mul(power[u], rows, n) for u in range(n)]
+        power = [_advance(g.succ, r) for r in power]
     raise PreconditionFailed("graph is not primitive")
-
-
-def _row_mul(row: int, rows: list[int], n: int) -> int:
-    out = 0
-    for j in range(n):
-        if row >> j & 1:
-            out |= rows[j]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +687,7 @@ def _decide_sft(ctx: _Ctx, prop: str) -> PropertyVerdict:
     if prop == "extensible":
         cyc = _cycle_vertices(g)
         reach = _reachable_from(g, cyc)
-        missing = [g.vertices[i] for i in range(len(g.vertices)) if i not in reach]
+        missing = [v for i, v in enumerate(g.vertices) if not reach >> i & 1]
         ok = not missing
         ev = (
             f"window graph on {len(g)} vertices (pruned: {list(g.pruned)}); "

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import mult_shift, shift_core
-from .errors import ConnectorNotFound, NoCoprimePrime, PreconditionFailed
+from .errors import ConnectorNotFound, NoCoprimePrime, PreconditionFailed, SpecError
 from .lambda_arith import a_set, decompose, factorization, next_prime_avoiding, product_offset_bound, xi
 from .mult_shift import (
     MultiplierConstraintSet,
@@ -438,13 +438,67 @@ def certificate_to_dict(cert: WitnessCertificate) -> dict:
     return out
 
 
+_CERT_FIELDS = ("alpha", "k", "multiplier", "directional_base", "construction", "u", "v", "constraints", "prefix")
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise SpecError(f"malformed certificate: {what}")
+
+
+def _is_int(x, low: int = 0) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= low
+
+
+def _is_digits(x) -> bool:
+    return isinstance(x, str) and not set(x) - set("0123456789")
+
+
+def _is_pins(group) -> bool:
+    return (
+        isinstance(group, list) and len(group) == 2 and _is_int(group[0], 1) and isinstance(group[1], list)
+        and all(isinstance(c, list) and len(c) == 2 and _is_int(c[0], 1) and _is_int(c[1]) for c in group[1])
+    )
+
+
+def _is_cover_pair(p) -> bool:
+    return (
+        isinstance(p, list) and len(p) == 6 and _is_int(p[0], 1) and _is_digits(p[1]) and _is_int(p[2])
+        and _is_int(p[3], 1) and _is_digits(p[4]) and _is_digits(p[5])
+    )
+
+
 def certificate_from_dict(data: dict) -> WitnessCertificate:
+    """Parse the JSON form written by certificate_to_dict.
+
+    Every field's type and shape is checked, and a missing or malformed
+    field raises SpecError.  ``directional_base`` is required: the
+    verifier re-derives the multiplier from it.
+    """
+    _require(isinstance(data, dict), "not a JSON object")
+    missing = [name for name in _CERT_FIELDS if name not in data]
+    _require(not missing, f"missing fields {missing}")
+    for name, low in (("alpha", 1), ("k", 0), ("multiplier", 1), ("directional_base", 2)):
+        _require(_is_int(data[name], low), f"{name!r} must be an integer >= {low}")
+    for name in ("construction", "u", "v"):
+        _require(isinstance(data[name], str), f"{name!r} must be a string")
+    _require(_is_digits(data["prefix"]), "'prefix' must be a digit string")
+    _require(
+        isinstance(data["constraints"], list) and all(_is_pins(g) for g in data["constraints"]),
+        "'constraints' must be a list of [rep, [[depth, symbol], ...]]",
+    )
     cover = None
     if "cover" in data:
+        raw = data["cover"]
+        _require(
+            isinstance(raw, dict) and _is_int(raw.get("offset_bound")) and _is_int(raw.get("common_offset"))
+            and isinstance(raw.get("pairs"), list) and all(_is_cover_pair(p) for p in raw["pairs"]),
+            "'cover' must hold offset_bound, common_offset and pairs [u rep, u word, r, v rep, pad, v word]",
+        )
         cover = ConnectorCover(
-            offset_bound=data["cover"]["offset_bound"],
-            common_offset=data["cover"]["common_offset"],
-            pairs=tuple(tuple(p) for p in data["cover"]["pairs"]),
+            offset_bound=raw["offset_bound"],
+            common_offset=raw["common_offset"],
+            pairs=tuple(tuple(p) for p in raw["pairs"]),
         )
     return WitnessCertificate(
         alpha=data["alpha"],
@@ -455,6 +509,6 @@ def certificate_from_dict(data: dict) -> WitnessCertificate:
         construction=data["construction"],
         u_literal=data["u"],
         v_literal=data["v"],
-        directional_base=data.get("directional_base", 0),
+        directional_base=data["directional_base"],
         cover=cover,
     )

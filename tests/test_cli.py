@@ -192,3 +192,144 @@ def test_malformed_spec_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "props", "--spec", str(path))
     assert code == 2
     assert "error" in err
+
+
+def _directional_cert(capsys, spec_path):
+    code, out, _ = run(
+        capsys, "witness", "--spec", spec_path, "--l", "2", "--u", "block:01", "--v", "block:10",
+        "--mode", "directional-power", "--power", "1", "--alpha-bound", "9",
+    )
+    assert code == 0
+    return json.loads(out)
+
+
+def _verify_payload(capsys, tmp_path, payload):
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(payload))
+    return run(capsys, "verify", "--cert", str(path))
+
+
+def _tamper_cover(cover, how):
+    if how == "offset_and_words":  # common offset moved and every pair word replaced
+        cover["common_offset"] = 999
+        cover["pairs"] = [[p[0], "x", p[2], p[3], p[4], "y"] for p in cover["pairs"]]
+    elif how == "common_offset":
+        cover["common_offset"] += 1
+    elif how == "offset_bound":
+        cover["offset_bound"] -= 1
+        cover["pairs"] = [p for p in cover["pairs"] if p[2] <= cover["offset_bound"]]
+    elif how == "pair_dropped":
+        cover["pairs"] = cover["pairs"][1:]
+    elif how == "pad_length":
+        cover["pairs"][-1][4] += "0"
+    elif how == "v_word":  # first symbol flipped, so the word no longer carries v's fiber
+        word = cover["pairs"][0][5]
+        cover["pairs"][0][5] = ("1" if word[0] == "0" else "0") + word[1:]
+
+
+@pytest.mark.parametrize(
+    "how", ["offset_and_words", "common_offset", "offset_bound", "pair_dropped", "pad_length", "v_word"]
+)
+def test_verify_rejects_tampered_cover(capsys, golden_spec, tmp_path, how):
+    payload = _directional_cert(capsys, golden_spec)
+    for cert in payload["certificate"]:
+        _tamper_cover(cert["cover"], how)
+    code, out, err = _verify_payload(capsys, tmp_path, payload)
+    assert code in (1, 2)
+    if code == 1:
+        assert json.loads(out)["verified"] is False
+        assert all("cover" in r["reason"] for r in json.loads(out)["results"])
+    else:
+        assert "error" in err
+    assert "Traceback" not in err
+
+
+def test_verify_checks_cover_connection(capsys, golden_spec, tmp_path):
+    import dataclasses
+
+    from multishift import oracle, witness
+
+    golden = sft(2, ["11"])
+    payload = _directional_cert(capsys, golden_spec)
+    cert = witness.certificate_from_dict(payload["certificate"][0])
+    assert oracle.verify_certificate(golden, 2, cert) == (True, "ok")
+    # same triples and offsets, and u's word still carries u's fiber, but it ends in the forbidden "11"
+    pairs = tuple((p[0], p[1] + "11", p[2], p[3], p[4], p[5]) for p in cert.cover.pairs)
+    bad = dataclasses.replace(cert, cover=dataclasses.replace(cert.cover, pairs=pairs))
+    ok, reason = oracle.verify_certificate(golden, 2, bad)
+    assert not ok and reason.startswith("cover:") and "do not connect" in reason
+
+
+@pytest.mark.parametrize("how", ["missing_base", "not_a_list", "string_alpha", "bool_k", "bad_prefix", "cover_shape"])
+def test_verify_malformed_certificate_exits_2(capsys, golden_spec, tmp_path, how):
+    code, out, _ = run(
+        capsys, "witness", "--spec", golden_spec, "--l", "2", "--u", "block:00", "--v", "block:1",
+        "--mode", "exact", "--alpha", "3", "--k", "2",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    cert = payload["certificate"]
+    if how == "missing_base":  # without the base the multiplier check cannot run
+        cert.pop("directional_base")
+        cert["alpha"], cert["k"] = 999, 77
+    elif how == "not_a_list":
+        cert["constraints"] = 5
+    elif how == "string_alpha":
+        cert["alpha"] = "3"
+    elif how == "bool_k":
+        cert["k"] = True
+    elif how == "bad_prefix":
+        cert["prefix"] = cert["prefix"][:-1] + "z"
+    elif how == "cover_shape":
+        cert["cover"] = {"offset_bound": 1, "common_offset": 0, "pairs": [[1, "0", 0]]}
+    code, out, err = _verify_payload(capsys, tmp_path, payload)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed certificate")
+
+
+def test_verify_rejects_inconsistent_multiplier(capsys, golden_spec, tmp_path):
+    code, out, _ = run(
+        capsys, "witness", "--spec", golden_spec, "--l", "2", "--u", "block:00", "--v", "block:1",
+        "--mode", "exact", "--alpha", "3", "--k", "2",
+    )
+    payload = json.loads(out)
+    payload["certificate"]["alpha"], payload["certificate"]["k"] = 999, 77
+    code, out, _ = _verify_payload(capsys, tmp_path, payload)
+    assert code == 1
+    assert "multiplier disagrees" in json.loads(out)["results"][0]["reason"]
+
+
+@pytest.mark.parametrize("drop", ["spec", "l", "certificate"])
+def test_verify_cert_file_missing_field(capsys, ramp_spec, tmp_path, drop):
+    code, out, _ = run(
+        capsys, "witness", "--spec", ramp_spec, "--l", "2", "--u", "block:00", "--v", "block:1",
+    )
+    payload = json.loads(out)
+    payload.pop(drop)
+    code, out, err = _verify_payload(capsys, tmp_path, payload)
+    assert code == 2
+    assert f"missing ['{drop}']" in err
+
+
+def test_verify_rejects_empty_certificate_list(capsys, ramp_spec, tmp_path):
+    code, out, _ = run(
+        capsys, "witness", "--spec", ramp_spec, "--l", "2", "--u", "block:00", "--v", "block:1",
+    )
+    payload = json.loads(out)
+    payload["certificate"] = []
+    code, out, err = _verify_payload(capsys, tmp_path, payload)
+    assert code == 2
+    assert out == ""
+    assert "empty" in err
+
+
+@pytest.mark.parametrize(
+    "extra, missing",
+    [([], "--u, --v, --q"), (["--u", "block:0", "--v", "block:1"], "--q"), (["--q", "2", "--u", "block:0"], "--v")],
+)
+def test_probe_directional_requires_patterns_and_modulus(capsys, golden_spec, extra, missing):
+    code, out, err = run(capsys, "probe", "--spec", golden_spec, "--l", "2", "--mode", "directional", *extra)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: --mode directional needs {missing}"

@@ -13,7 +13,6 @@ from multishift.mult_shift import (
     count_blocks,
     enumerate_blocks,
     fiber,
-    fiber_constraints,
     format_pattern,
     inadmissible_classes,
     is_admissible,
@@ -47,11 +46,11 @@ def test_fiber_includes_exact_power_boundary():
 
 def test_fiber_constraints_view():
     u = Pattern.make({1: 1, 3: 1, 6: 0}, 2, GOLDEN)
-    cons = {fc.representative: fc for fc in fiber_constraints(u)}
+    cons = u.fibers()
     assert set(cons) == {1, 3}
-    assert cons[1].chain_constraints == ((1, 1),)
-    assert cons[3].chain_constraints == ((1, 1), (2, 0))
-    assert cons[3].base == 2
+    assert cons[1] == ((1, 1),)
+    assert cons[3] == ((1, 1), (2, 0))
+    assert u.base == 2
 
 
 def test_pi_positions():

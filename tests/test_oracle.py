@@ -3,7 +3,7 @@ import random
 import pytest
 
 from brute import naive_exists_witness
-from multishift.mult_shift import Pattern, enumerate_blocks
+from multishift.mult_shift import Pattern, enumerate_blocks, is_admissible
 from multishift.oracle import (
     SearchBudget,
     binary_sft_family,
@@ -151,9 +151,45 @@ def test_proved_negatives_hold_far_beyond_their_horizon():
             continue
         alpha = verdict.proof["alpha"]
         horizon = verdict.proof["horizon"]
-        probe = _PairProbe(spec, 2, u, v, 1)
+        probe = _PairProbe(spec, 2, u, v, 2)
         for k in range(horizon + 25):
             assert not probe.decide(alpha, k), (spec, alpha, k)
+
+
+def test_probe_directional_non_power_moduli_against_naive():
+    # moduli with a factor coprime to the base: v's chains move by alpha * a_q**k, not by depth alone
+    rng = random.Random(606)
+    dead = sft(2, ["01", "11"])  # not extensible: a 1 sits only at depth 1, so some alpha always fails
+    specs = [GOLDEN, RAMP, ALT, sft(2, []), sft(2, ["000", "11"]), dead]
+    budget = SearchBudget(alpha_bound=5, k_bound=3, pair_length_bound=2)
+    seen = set()
+    checked = 0
+    while checked < 60:
+        spec = rng.choice(specs)
+        l, q = rng.choice([(2, 3), (2, 6), (3, 6)])
+        u = _random_pattern(rng, spec, l, 3, depth_cap=3)
+        v = _random_pattern(rng, spec, l, 2, depth_cap=3)
+        if not (is_admissible(u) and is_admissible(v)):
+            continue
+        verdict = probe_directional_q(spec, l, q, u, v, budget)
+        assert verdict.proof is None  # all-k proofs are for power moduli only
+
+        def fits(alpha, k):
+            # the multiplier |u| * alpha * q**k, as alpha' = alpha * q**k at depth step 0
+            return naive_exists_witness(spec, l, u, v, alpha * q**k, 0)
+
+        for k, alpha in verdict.per_k_failures:
+            assert not fits(alpha, k), (spec, l, q, u.entries, v.entries, alpha, k)
+        if verdict.status == "witnessed":
+            assert [k for k, _ in verdict.per_k_failures] == list(range(verdict.k))
+            assert all(fits(alpha, verdict.k) for alpha in range(1, budget.alpha_bound + 1) if alpha % q)
+        else:
+            assert verdict.status == "inconclusive_negative"
+            assert [k for k, _ in verdict.per_k_failures] == list(range(budget.k_bound + 1))
+        seen.add((l, q, verdict.status))
+        checked += 1
+    assert {(l, q) for l, q, _ in seen} == {(2, 3), (2, 6), (3, 6)}
+    assert {status for _, _, status in seen} == {"witnessed", "inconclusive_negative"}
 
 
 def test_probe_budget_monotone():
