@@ -11,7 +11,7 @@ admissibility questions here exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from . import shift_core
@@ -77,6 +77,9 @@ class Pattern:
     entries: tuple[tuple[int, int], ...]
     base: int
     omega: ShiftSpec
+    # filled on first use by fibers() and inadmissible_classes()
+    _fibers: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
+    _bad: Optional[tuple[int, ...]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base < 2:
@@ -126,12 +129,14 @@ class Pattern:
         return "".join(str(sym) for _, sym in self.entries)
 
     def fibers(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """Per-chain constraints: representative -> ((depth, symbol), ...)."""
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for pos, sym in self.entries:
-            d = decompose(pos, self.base)
-            groups.setdefault(d.alpha, []).append((d.k + 1, sym))
-        return {rep: tuple(sorted(cons)) for rep, cons in sorted(groups.items())}
+        """Per-chain constraints: representative -> ((depth, symbol), ...); computed once, shared read-only."""
+        if self._fibers is None:
+            groups: dict[int, list[tuple[int, int]]] = {}
+            for pos, sym in self.entries:
+                d = decompose(pos, self.base)
+                groups.setdefault(d.alpha, []).append((d.k + 1, sym))
+            object.__setattr__(self, "_fibers", {rep: tuple(sorted(cons)) for rep, cons in sorted(groups.items())})
+        return self._fibers
 
 
 def fiber(u: Pattern, rep: int) -> tuple[tuple[int, int], ...]:
@@ -164,12 +169,11 @@ def is_admissible(u: Pattern) -> bool:
 
 
 def inadmissible_classes(u: Pattern) -> list[int]:
-    """Chain representatives whose fiber constraints are unsatisfiable."""
-    bad = []
-    for rep, cons in u.fibers().items():
-        if not shift_core.partial_extendable(u.omega, cons):
-            bad.append(rep)
-    return bad
+    """Chain representatives whose fiber constraints are unsatisfiable (computed once per pattern)."""
+    if u._bad is None:
+        bad = tuple(rep for rep, cons in u.fibers().items() if not shift_core.partial_extendable(u.omega, cons))
+        object.__setattr__(u, "_bad", bad)
+    return list(u._bad)
 
 
 def count_blocks(omega: ShiftSpec, l: int, n: int) -> int:

@@ -19,6 +19,7 @@ certificate that fails re-verification.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -32,7 +33,7 @@ from . import mult_shift, shift_core, witness as witness_mod
 from .errors import ConnectorNotFound, InadmissiblePattern, PreconditionFailed, UndecidableProperty
 from .lambda_arith import a_set, decompose, product_offset_bound
 from .mult_shift import Pattern, multiplier_constraints, parse_pattern
-from .shift_core import PROPERTIES, SftSpec, ShiftSpec, SpacingSpec, sft, spec_to_dict
+from .shift_core import PROPERTIES, SftSpec, ShiftSpec, SpacingSpec, sft, spec_to_dict, word_pins
 from .witness import WitnessCertificate, try_certificate
 
 __all__ = [
@@ -176,12 +177,7 @@ def _cover_fault(omega: ShiftSpec, l: int, u: Pattern, v: Pattern, cert: Witness
             return f"word {uw!r} does not carry u's fiber on chain {urep}"
         if not all(d <= len(vw) and int(vw[d - 1]) == s for d, s in v_fibers[vrep]):
             return f"word {vw!r} does not carry v's fiber on chain {vrep}"
-        pins = dict(enumerate(map(int, uw), start=1))
-        start = cover.common_offset + r + 1
-        for i, c in enumerate(map(int, vw)):
-            if pins.setdefault(start + i, c) != c:
-                return f"u's word {uw!r} and v's word {vw!r} overlap with different symbols at pad {r}"
-        if not shift_core.partial_extendable(omega, tuple(sorted(pins.items()))):
+        if not shift_core.offset_table(omega, word_pins(uw), word_pins(vw))[cover.common_offset + r]:
             return f"u's word {uw!r} and v's word {vw!r} do not connect at pad {r}"
     return None
 
@@ -190,67 +186,69 @@ def _cover_fault(omega: ShiftSpec, l: int, u: Pattern, v: Pattern, cert: Witness
 # fast per-pair probing with precomputed fiber structure
 
 
+@functools.lru_cache(maxsize=4096)
+def _split(n: int, l: int) -> tuple[int, int]:
+    """``decompose(n, l)`` as (alpha, k); every probe asks for the same few products."""
+    d = decompose(n, l)
+    return d.alpha, d.k
+
+
 class _PairProbe:
     """Per-pair decision engine for the multipliers |u| * alpha * q**k.
 
     With q = a_q * l**n (l not dividing a_q), v's chain j lands on the
-    chain of alpha1 * alpha * a_q**k * j, n * k levels deeper.  Both fiber
-    decompositions are precomputed; each (alpha, k) query then costs one
-    chain-class merge plus memoized reachability checks.
+    chain of alpha1 * alpha * a_q**k * j, n * k levels deeper.  Each
+    (alpha, k) query is one offset-table lookup per v chain, exactly:
+
+    * Injectivity.  For one multiplier M, M * j1 and M * j2 share a chain
+      only if j1 / j2 is a power of l, and two base-free j1, j2 then
+      coincide.  So a target chain carries at most one v fiber, beside at
+      most one (static) u fiber, and its feasibility is a function of the
+      base space alone: F(u fiber, v fiber, offset), tabulated per spec by
+      ``shift_core.offset_table`` and shared by every probe on that spec.
+    * Monotonicity.  Adding pins never makes a chain feasible again, so
+      the chains that carry only u need checking once per probe (u's
+      admissibility), and a query fails outright when one of them fails.
     """
 
     def __init__(self, omega: ShiftSpec, l: int, u: Pattern, v: Pattern, q: int):
         self.omega = omega
         self.l = l
-        dq = decompose(q, l)
-        self.a_q = dq.alpha
-        self.n = dq.k
-        du = decompose(u.length, l)
-        self.alpha1 = du.alpha
-        self.k1 = du.k
+        self.a_q, self.n = _split(q, l)
+        self.alpha1, self.k1 = _split(u.length, l)
         self.u_groups = u.fibers()
         self.v_groups = v.fibers()
-        self._targets: dict[int, list[tuple[int, int, tuple[tuple[int, int], ...]]]] = {}
+        self.u_bad = frozenset(mult_shift.inadmissible_classes(u))
+        self._targets: dict[int, list[tuple]] = {}
 
-    def _target_layout(self, m: int) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
-        """(target chain, depth offset before the n*k shift, v's fiber) per v chain, for m = alpha * a_q**k."""
+    def _target_layout(self, m: int) -> list[tuple]:
+        """Per v chain at m = alpha * a_q**k: target chain, depth offset before the n*k shift, fiber, offset table."""
         layout = self._targets.get(m)
         if layout is None:
             layout = []
             for j, cons in self.v_groups.items():
-                d = decompose(self.alpha1 * m * j, self.l)
-                layout.append((d.alpha, d.k + self.k1, cons))
+                target, depth = _split(self.alpha1 * m * j, self.l)
+                table = shift_core.offset_table(self.omega, self.u_groups.get(target, ()), cons)
+                layout.append((target, depth + self.k1, cons, table))
             self._targets[m] = layout
         return layout
 
-    def _merge(self, alpha: int, k: int) -> tuple[dict[int, dict[int, int]], list[int]]:
-        """Per-chain pins at (alpha, k), and the chains pinned twice with different symbols."""
-        shift = self.n * k
-        groups = {rep: dict(cons) for rep, cons in self.u_groups.items()}
-        conflicts = []
-        for target, base, cons in self._target_layout(alpha * self.a_q**k):
-            bucket = groups.setdefault(target, {})
-            for depth, sym in cons:
-                if bucket.setdefault(base + shift + depth, sym) != sym:
-                    conflicts.append(target)
-        return groups, conflicts
-
     def decide(self, alpha: int, k: int) -> bool:
-        groups, conflicts = self._merge(alpha, k)
-        if conflicts:
+        if self.u_bad:
             return False
-        for pins in groups.values():
-            if not shift_core.partial_extendable(self.omega, tuple(sorted(pins.items()))):
+        shift = self.n * k
+        for _, base, _, table in self._target_layout(alpha * self.a_q**k):
+            if not table[base + shift]:
                 return False
         return True
 
     def class_feasible(self, alpha: int, k: int) -> dict[int, bool]:
         """Per-chain feasibility at (alpha, k), for obstruction transcripts."""
-        groups, conflicts = self._merge(alpha, k)
-        return {
-            rep: rep not in conflicts and shift_core.partial_extendable(self.omega, tuple(sorted(pins.items())))
-            for rep, pins in groups.items()
-        }
+        out = {rep: rep not in self.u_bad for rep in self.u_groups}
+        shift = self.n * k
+        for target, base, _, table in self._target_layout(alpha * self.a_q**k):
+            out[target] = table[base + shift]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +273,7 @@ def _forall_k_proof(probe: _PairProbe, alpha: int) -> Optional[dict]:
     n = probe.n
     k_star = 0
     periods = []
-    for target, base, cons in probe._target_layout(alpha):
+    for target, base, cons, _ in probe._target_layout(alpha):
         static = dict(probe.u_groups.get(target, ()))
         static_max = max(list(static) + [g.window])
         d_min = min(d for d, _ in cons)
@@ -444,8 +442,7 @@ def _never_witnessable_proof(omega: ShiftSpec, l: int, u: Pattern, v: Pattern) -
     d = decompose(u.length, l)
     for j, cons in v.fibers().items():
         e_min = d.k + decompose(d.alpha * j, l).k
-        shifted = tuple((e_min + depth, sym) for depth, sym in cons)
-        if not shift_core.partial_extendable(omega, shifted):
+        if not shift_core.offset_table(omega, (), cons)[e_min]:
             return {
                 "v_chain": j,
                 "least_offset": e_min,
@@ -692,12 +689,8 @@ def _nonextensible_refutation(spec: ShiftSpec, l: int):
     if not dead:
         return None
     word = g.vertices[dead[0]]
-    offset = None
-    for m in range(1, len(g.vertices) + 2):
-        cons = [(m + i + 1, int(c)) for i, c in enumerate(word)]
-        if not shift_core.partial_extendable(spec, cons):
-            offset = m
-            break
+    placed = shift_core.offset_table(spec, (), word_pins(word))
+    offset = next((m for m in range(1, len(g.vertices) + 2) if not placed[m]), None)
     if offset is None:
         return None
     u_len = l**offset

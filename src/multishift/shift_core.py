@@ -157,25 +157,30 @@ def spec_to_dict(spec: ShiftSpec) -> dict:
     }
 
 
+def _typed(value, kind: type, what: str):
+    """The value, if it is a ``kind`` (a bool is no int); SpecError otherwise, never a coercion."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise SpecError(f"malformed {what}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
 def spec_from_dict(data: dict) -> ShiftSpec:
     """Parse the JSON shift-spec format; forbidden sets are normalized."""
     if not isinstance(data, dict) or "kind" not in data:
         raise SpecError("shift spec must be an object with a 'kind' field")
     kind = data["kind"]
     if kind == "sft":
-        try:
-            alphabet = int(data["alphabet"])
-            forbidden = [str(w) for w in data.get("forbidden", [])]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecError(f"malformed finite-type spec: {exc}") from exc
+        if "alphabet" not in data:
+            raise SpecError("malformed finite-type spec: missing 'alphabet'")
+        alphabet = _typed(data["alphabet"], int, "finite-type spec: 'alphabet'")
+        forbidden = [_typed(w, str, "forbidden word") for w in _typed(data.get("forbidden", []), list, "'forbidden'")]
         return sft(alphabet, forbidden)
     if kind == "spacing":
-        try:
-            cls = str(data["class"])
-            complement = [int(c) for c in data.get("complement", [])]
-            horizon = int(data.get("horizon", DEFAULT_HORIZON))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecError(f"malformed gap-set spec: {exc}") from exc
+        if "class" not in data:
+            raise SpecError("malformed gap-set spec: missing 'class'")
+        cls = _typed(data["class"], str, "gap-set spec: 'class'")
+        complement = [_typed(c, int, "banned gap") for c in _typed(data.get("complement", []), list, "'complement'")]
+        horizon = _typed(data.get("horizon", DEFAULT_HORIZON), int, "gap-set spec: 'horizon'")
         return spacing(cls, complement, horizon)
     raise SpecError(f"unknown spec kind {kind!r}")
 
@@ -241,6 +246,7 @@ class _Ctx:
         "_verdicts",
         "_gamma",
         "_gap_index",
+        "_offsets",
     )
 
     def __init__(self, spec: ShiftSpec):
@@ -252,15 +258,26 @@ class _Ctx:
         self._verdicts: dict[str, PropertyVerdict] = {}
         self._gamma: Optional[int] = None
         self._gap_index: dict[int, int] = {}
+        self._offsets: dict[tuple, _OffsetTable] = {}
 
+
+# specs whose derived structures stay cached; past this, the earliest cached is dropped
+_CACHED_SPECS = 64
 
 _CONTEXTS: dict[ShiftSpec, _Ctx] = {}
+
+
+def _cache_put(table: dict, key, value):
+    if len(table) >= _CACHED_SPECS:
+        del table[next(iter(table))]
+    table[key] = value
+    return value
 
 
 def _ctx(spec: ShiftSpec) -> _Ctx:
     ctx = _CONTEXTS.get(spec)
     if ctx is None:
-        ctx = _CONTEXTS[spec] = _Ctx(spec)
+        ctx = _cache_put(_CONTEXTS, spec, _Ctx(spec))
     return ctx
 
 
@@ -270,7 +287,7 @@ _COMPLEMENTS: dict[SpacingSpec, frozenset[int]] = {}
 def _complement_set(spec: SpacingSpec) -> frozenset[int]:
     s = _COMPLEMENTS.get(spec)
     if s is None:
-        s = _COMPLEMENTS[spec] = frozenset(spec.complement)
+        s = _cache_put(_COMPLEMENTS, spec, frozenset(spec.complement))
     return s
 
 
@@ -423,6 +440,31 @@ def partial_extendable(spec: ShiftSpec, constraints: Iterable[tuple[int, int]]) 
     return res
 
 
+class _OffsetTable(dict):
+    """What ``offset_table`` returns: a missing offset is decided on lookup and kept."""
+
+    __slots__ = ("spec", "static", "moving")
+
+    def __missing__(self, offset: int) -> bool:
+        pins = dict(self.static)
+        ok = all(pins.setdefault(offset + pos, sym) == sym for pos, sym in self.moving)
+        ok = self[offset] = ok and partial_extendable(self.spec, tuple(sorted(pins.items())))
+        return ok
+
+
+def offset_table(spec: ShiftSpec, static: tuple, moving: tuple) -> Mapping[int, bool]:
+    """``[r]``: whether the ``static`` pins and every ``moving`` pin (p + r, sym) fit one point.
+
+    False where the two pin one position differently.  Kept per spec and shared by every caller.
+    """
+    tables = _ctx(spec)._offsets
+    table = tables.get((static, moving))
+    if table is None:
+        table = tables[static, moving] = _OffsetTable()
+        table.spec, table.static, table.moving = spec, static, moving
+    return table
+
+
 def _sft_extendable(ctx: _Ctx, cmap: Mapping[int, int]) -> bool:
     g = ctx.graph
     if not g.vertices:
@@ -502,7 +544,12 @@ def _spacing_extendable(spec: SpacingSpec, cmap: Mapping[int, int]) -> bool:
 
 def word_admissible(spec: ShiftSpec, word: str) -> bool:
     """Whether the word occurs in some point of the space."""
-    return partial_extendable(spec, [(i + 1, int(c)) for i, c in enumerate(word)])
+    return partial_extendable(spec, word_pins(word))
+
+
+def word_pins(word: str) -> tuple[tuple[int, int], ...]:
+    """The word's symbols as (position, symbol) pins from position 1."""
+    return tuple(enumerate(map(int, word), start=1))
 
 
 def least_word(spec: ShiftSpec, length: int, constraints: Iterable[tuple[int, int]] = ()) -> Optional[str]:
@@ -755,13 +802,8 @@ def connector_gaps(spec: ShiftSpec, u: str, v: str, bound: int) -> set[int]:
         raise ValueError("bound must be >= 1")
     _require_admissible_word(spec, u, "u")
     _require_admissible_word(spec, v, "v")
-    base = [(i + 1, int(c)) for i, c in enumerate(u)]
-    out = set()
-    for m in range(1, bound + 1):
-        cons = base + [(len(u) + m + 1 + i, int(c)) for i, c in enumerate(v)]
-        if partial_extendable(spec, cons):
-            out.add(m)
-    return out
+    table = offset_table(spec, word_pins(u), word_pins(v))
+    return {m for m in range(1, bound + 1) if table[len(u) + m]}
 
 
 def simultaneous_connector(

@@ -37,7 +37,7 @@ from .mult_shift import (
     multiplier_constraints,
     require_admissible,
 )
-from .shift_core import ShiftSpec, decide, least_word, mixing_gap_index
+from .shift_core import ShiftSpec, decide, least_word, mixing_gap_index, word_pins
 
 __all__ = [
     "ConnectorCover",
@@ -273,28 +273,13 @@ def _connector_cover(
     pad_bound = product_offset_bound(l, u.length, v.length) + (n - 1)
     u_words = _fiber_words(u)
     v_words = _fiber_words(v)
-
-    def connected_at(K: int) -> bool:
-        for uw in u_words.values():
-            ucons = {i + 1: int(c) for i, c in enumerate(uw)}
-            for vw in v_words.values():
-                for r in range(pad_bound + 1):
-                    cons = dict(ucons)
-                    conflict = False
-                    for i, c in enumerate(vw):
-                        pos = K + r + 1 + i
-                        if cons.get(pos, int(c)) != int(c):
-                            conflict = True
-                            break
-                        cons[pos] = int(c)
-                    if conflict or not shift_core.partial_extendable(omega, sorted(cons.items())):
-                        return False
-        return True
-
+    tables = [
+        shift_core.offset_table(omega, word_pins(a), word_pins(b)) for a in u_words.values() for b in v_words.values()
+    ]
     k = 0
     while k <= search_bound:
         K = k1 + n * k
-        if connected_at(K):
+        if all(table[K + r] for table in tables for r in range(pad_bound + 1)):
             pairs = []
             for urep, uw in sorted(u_words.items()):
                 for vrep, vw in sorted(v_words.items()):

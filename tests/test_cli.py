@@ -194,6 +194,26 @@ def test_malformed_spec_exit_code(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "sft", "alphabet": 2.7, "forbidden": ["11"]},
+        {"kind": "sft", "alphabet": True, "forbidden": []},
+        {"kind": "sft", "alphabet": 2, "forbidden": [11]},
+        {"kind": "spacing", "class": "cofinite", "complement": [1.9, 2]},
+        {"kind": "spacing", "class": "cofinite", "complement": [1, 2], "horizon": 100.5},
+    ],
+    ids=["float_alphabet", "bool_alphabet", "int_forbidden_word", "float_gap", "float_horizon"],
+)
+def test_spec_fields_are_not_coerced(capsys, tmp_path, spec):
+    # each of these once went through int()/str() and printed verdicts for a different spec
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "props", "--spec", str(path))
+    assert code == 2 and out == ""
+    assert "malformed" in err
+
+
 def _directional_cert(capsys, spec_path):
     code, out, _ = run(
         capsys, "witness", "--spec", spec_path, "--l", "2", "--u", "block:01", "--v", "block:10",

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from brute import naive_exists_witness
-from multishift.mult_shift import Pattern, enumerate_blocks, is_admissible
+from multishift.lambda_arith import decompose
+from multishift.mult_shift import Pattern, enumerate_blocks, is_admissible, multiplier_constraints
 from multishift.oracle import (
     SearchBudget,
     binary_sft_family,
@@ -16,7 +17,7 @@ from multishift.oracle import (
     random_sft_family,
     verify_certificate,
 )
-from multishift.shift_core import blocks, sft, spacing
+from multishift.shift_core import blocks, partial_extendable, sft, spacing
 
 GOLDEN = sft(2, ["11"])
 RAMP = sft(2, ["01"])
@@ -190,6 +191,63 @@ def test_probe_directional_non_power_moduli_against_naive():
         checked += 1
     assert {(l, q) for l, q, _ in seen} == {(2, 3), (2, 6), (3, 6)}
     assert {status for _, _, status in seen} == {"witnessed", "inconclusive_negative"}
+
+
+def _random_sft(rng, alphabet):
+    digits = "0123456789"[:alphabet]
+    pool = ["".join(rng.choice(digits) for _ in range(rng.randint(1, 3))) for _ in range(6)]
+    return sft(alphabet, rng.sample(pool, rng.randint(0, 3)))
+
+
+def test_pair_probe_matches_merged_constraints():
+    # decide/class_feasible read per-spec offset tables; the reference merges every pin afresh
+    from multishift.oracle import _PairProbe
+
+    rng = random.Random(707)
+    checked = set()
+    for _ in range(300):
+        spec = _random_sft(rng, rng.choice([2, 3]))
+        l = rng.choice([2, 3, 4, 6])
+        q = rng.choice(sorted({l, l * l, 6}))
+        m = spec.alphabet
+        u = Pattern.make({p: rng.randrange(m) for p in rng.sample(range(1, 13), rng.randint(1, 4))}, l, spec)
+        v = Pattern.make({p: rng.randrange(m) for p in rng.sample(range(1, 9), rng.randint(1, 3))}, l, spec)
+        probe = _PairProbe(spec, l, u, v, q)
+        for alpha in (a for a in range(1, 10) if a % q):
+            for k in range(4):
+                mcs = multiplier_constraints(u, v, u.length * alpha * q**k)
+                clashing = {decompose(p, l).alpha for p, _, _ in mcs.conflicts}
+                expected = {rep: rep not in clashing and partial_extendable(spec, cons) for rep, cons in mcs.groups}
+                assert probe.class_feasible(alpha, k) == expected, (spec, l, q, u.entries, v.entries, alpha, k)
+                assert probe.decide(alpha, k) == all(expected.values()), (spec, l, q, u.entries, v.entries, alpha, k)
+                checked.add((spec.alphabet, l, q, all(expected.values())))
+    assert {(a, l) for a, l, _, _ in checked} == {(a, l) for a in (2, 3) for l in (2, 3, 4, 6)}
+    assert {ok for *_, ok in checked} == {True, False}
+
+
+def test_offset_tables_are_kept_per_spec():
+    # same fibers, different forbidden sets: a 1 at depths 1 (u) and 2 (v) of chain 1
+    from multishift.oracle import _PairProbe
+
+    golden, full = sft(2, ["11"]), sft(2, [])
+
+    def decide(spec):
+        return _PairProbe(spec, 2, block("1", 2, spec), block("1", 2, spec), 2).decide(1, 1)
+
+    assert decide(golden) is False
+    assert decide(full) is True
+    assert decide(golden) is False
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 6])
+def test_target_chains_are_injective(l):
+    # one multiplier never sends two base-free chain representatives to one chain
+    rng = random.Random(l)
+    reps = [j for j in range(1, 200) if j % l]
+    for _ in range(300):
+        multiplier = rng.randint(1, 10**6)
+        targets = [decompose(multiplier * j, l).alpha for j in reps]
+        assert len(set(targets)) == len(targets), multiplier
 
 
 def test_probe_budget_monotone():
