@@ -118,7 +118,7 @@ class Pattern:
 
     @property
     def is_block(self) -> bool:
-        return self.support == tuple(range(1, self.length + 1))
+        return len(self.entries) == self.length  # positions are distinct, sorted and >= 1
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.entries)

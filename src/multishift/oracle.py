@@ -590,9 +590,13 @@ def dedupe_by_language(specs: Sequence[SftSpec]) -> list[SftSpec]:
     return list(seen.values())
 
 
-def _subset_pairs(pats: Sequence[Pattern], cap: int = 6) -> list[tuple[Pattern, Pattern]]:
+# pattern pairs per check that get witness certificates
+_CERTIFIED_PAIRS = 6
+
+
+def _subset_pairs(pats: Sequence[Pattern]) -> list[tuple[Pattern, Pattern]]:
     small = [p for p in pats if p.length <= 2]
-    return list(itertools.product(small, small))[:cap]
+    return list(itertools.product(small, small))[:_CERTIFIED_PAIRS]
 
 
 def _campaign_row(spec: ShiftSpec, l: int, budget: SearchBudget) -> CampaignRow:
@@ -683,12 +687,10 @@ def _nonextensible_refutation(spec: ShiftSpec, l: int):
     g = shift_core.build_graph(spec)
     if not g.vertices:
         return None
-    cyc = shift_core._cycle_vertices(g)
-    reach = shift_core._reachable_from(g, cyc)
-    dead = [i for i in range(len(g.vertices)) if not reach >> i & 1]
+    dead = shift_core._dead_windows(g)
     if not dead:
         return None
-    word = g.vertices[dead[0]]
+    word = dead[0]
     placed = shift_core.offset_table(spec, (), word_pins(word))
     offset = next((m for m in range(1, len(g.vertices) + 2) if not placed[m]), None)
     if offset is None:
@@ -815,20 +817,10 @@ def _check_mixing(row, spec, l, budget, pats) -> None:
                     _record_cert(row, spec, l, mw.build(alpha, k), "mixing")
         row.checks["mixing"] = "pass"
         return
-    # predicted not mixing: find multipliers past every threshold that fail
-    proof = None
-    for u, v in itertools.product(pats, pats):
-        probe = _PairProbe(spec, l, u, v, l)
-        if all(probe.decide(a, k) for a, k in _alpha_k_order(l, budget)):
-            continue
-        for alpha in a_set(l, budget.alpha_bound):
-            if all(not probe.decide(alpha, k) for k in range(budget.k_bound + 1)):
-                proof = _forall_k_proof(probe, alpha)
-                if proof is not None:
-                    break
-        if proof is not None:
-            break
-    if proof is not None:
+    # predicted not mixing: some pair must fail at arbitrarily large multipliers.  That is the
+    # all-k proof the directional probe at q = l searches for, over the same pairs, alphas and
+    # k range; _check_directional runs first and always sets directional_l.
+    if row.x_probes["directional_l"] == "proved_negative":
         row.x_probes["mixing"] = "proved_negative"
         row.checks["mixing"] = "pass"
         row.notes.append("arbitrarily large multipliers fail by the periodicity obstruction")

@@ -15,7 +15,6 @@ value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -602,94 +601,44 @@ def _spacing_least_word(spec: SpacingSpec, length: int, cmap: Mapping[int, int])
 
 
 # ---------------------------------------------------------------------------
-# graph structure: strong connectivity, cycles, period
+# graph structure: components, cycles, period and dead windows, as state sets
 
 
-def _scc_partition(g: DeBruijnGraph) -> list[list[int]]:
-    """Kosaraju strongly connected components."""
-    n = len(g.vertices)
-    order: list[int] = []
-    seen = [False] * n
-    for root in range(n):
-        if seen[root]:
-            continue
-        stack = [(root, 0)]
-        seen[root] = True
-        while stack:
-            u, ei = stack.pop()
-            edges = g.out[u]
-            if ei < len(edges):
-                stack.append((u, ei + 1))
-                d = edges[ei][1]
-                if not seen[d]:
-                    seen[d] = True
-                    stack.append((d, 0))
-            else:
-                order.append(u)
-    rev: list[list[int]] = [[] for _ in range(n)]
-    for u in range(n):
-        for _, d in g.out[u]:
-            rev[d].append(u)
-    comp = [-1] * n
-    comps: list[list[int]] = []
-    for u in reversed(order):
-        if comp[u] != -1:
-            continue
-        cur = [u]
-        comp[u] = len(comps)
-        queue = [u]
-        while queue:
-            x = queue.pop()
-            for y in rev[x]:
-                if comp[y] == -1:
-                    comp[y] = len(comps)
-                    cur.append(y)
-                    queue.append(y)
-        comps.append(cur)
-    return comps
-
-
-def _cycle_vertices(g: DeBruijnGraph) -> set[int]:
-    comps = _scc_partition(g)
-    out = set()
-    for comp in comps:
-        if len(comp) > 1:
-            out.update(comp)
-        else:
-            u = comp[0]
-            if any(d == u for _, d in g.out[u]):
-                out.add(u)
-    return out
-
-
-def _reachable_from(g: DeBruijnGraph, sources: set[int]) -> int:
-    """Mask of the vertices reachable (in zero or more steps) from the sources."""
-    seen = frontier = sum(1 << u for u in sources)
+def _closure(table: Mapping[Optional[int], Sequence[int]], states: int) -> int:
+    """States reachable from ``states`` in zero or more steps along ``table``."""
+    seen = frontier = states
     while frontier:
-        frontier = _advance(g.succ, frontier) & ~seen
+        frontier = _advance(table, frontier) & ~seen
         seen |= frontier
     return seen
 
 
-def _strongly_connected(g: DeBruijnGraph) -> bool:
-    return len(g.vertices) > 0 and len(_scc_partition(g)) == 1
+def _components(g: DeBruijnGraph) -> list[int]:
+    """Strongly connected components as masks: a seed's forward closure meets its backward closure."""
+    comps = []
+    rest = g.full
+    while rest:
+        seed = rest & -rest
+        comp = _closure(g.succ, seed) & _closure(g.pred, seed)
+        comps.append(comp)
+        rest &= ~comp
+    return comps
 
 
-def _cycle_gcd(g: DeBruijnGraph) -> int:
-    """gcd of cycle lengths of a strongly connected graph."""
-    dist = {0: 0}
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
-        for _, d in g.out[u]:
-            if d not in dist:
-                dist[d] = dist[u] + 1
-                queue.append(d)
-    g_val = 0
-    for u in range(len(g.vertices)):
-        for _, d in g.out[u]:
-            g_val = math.gcd(g_val, dist[u] + 1 - dist[d])
-    return abs(g_val)
+def _cycle_vertices(g: DeBruijnGraph) -> int:
+    """Vertices on a cycle (as a mask): the components that keep an edge inside."""
+    return sum(comp for comp in _components(g) if _advance(g.succ, comp) & comp)
+
+
+def _dead_windows(g: DeBruijnGraph) -> list[str]:
+    """Windows, in order, that no cycle reaches: they occur only near the start of a point."""
+    reach = _closure(g.succ, _cycle_vertices(g))
+    return [v for i, v in enumerate(g.vertices) if not reach >> i & 1]
+
+
+def _period(g: DeBruijnGraph) -> int:
+    """Cycle-length gcd of a strongly connected graph: the period of one vertex's orbit."""
+    return state_orbit(g, 1)[1]
 
 
 def _primitivity_exponent(ctx: _Ctx) -> int:
@@ -732,27 +681,25 @@ def _decide_sft(ctx: _Ctx, prop: str) -> PropertyVerdict:
     if not g.vertices:
         return PropertyVerdict(prop, False, "empty language: every window dies under forward pruning")
     if prop == "extensible":
-        cyc = _cycle_vertices(g)
-        reach = _reachable_from(g, cyc)
-        missing = [v for i, v in enumerate(g.vertices) if not reach >> i & 1]
+        missing = _dead_windows(g)
         ok = not missing
         ev = (
             f"window graph on {len(g)} vertices (pruned: {list(g.pruned)}); "
-            f"{len(cyc)} cycle vertices; "
+            f"{_cycle_vertices(g).bit_count()} cycle vertices; "
             + ("every vertex is reachable from a cycle" if ok else f"not cycle-reachable: {missing}")
         )
         return PropertyVerdict(prop, ok, ev)
     if prop == "transitive":
-        comps = _scc_partition(g)
+        comps = _components(g)
         ok = len(comps) == 1
         ev = f"window graph on {len(g)} vertices has {len(comps)} strongly connected component(s)"
         return PropertyVerdict(prop, ok, ev)
     # mixing, and the finite-type collapse for the two intermediate properties
-    comps = _scc_partition(g)
+    comps = _components(g)
     if len(comps) != 1:
         ev = f"not strongly connected ({len(comps)} components)"
         return PropertyVerdict(prop, False, ev)
-    period = _cycle_gcd(g)
+    period = _period(g)
     ok = period == 1
     ev = f"strongly connected; cycle-length gcd {period}"
     if ok:

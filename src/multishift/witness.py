@@ -260,7 +260,6 @@ def _connector_cover(
     n: int,
     u: Pattern,
     v: Pattern,
-    search_bound: int,
 ) -> ConnectorCover:
     """Common absolute connector offset covering all fiber pairs and offsets.
 
@@ -277,7 +276,7 @@ def _connector_cover(
         shift_core.offset_table(omega, word_pins(a), word_pins(b)) for a in u_words.values() for b in v_words.values()
     ]
     k = 0
-    while k <= search_bound:
+    while k <= K_SEARCH_BOUND:
         K = k1 + n * k
         if all(table[K + r] for table in tables for r in range(pad_bound + 1)):
             pairs = []
@@ -289,8 +288,8 @@ def _connector_cover(
             return ConnectorCover(offset_bound=pad_bound, common_offset=K, pairs=tuple(pairs))
         k += 1
     raise ConnectorNotFound(
-        f"no common connector offset congruent to {k1} mod {n} within {search_bound} steps",
-        bound=search_bound,
+        f"no common connector offset congruent to {k1} mod {n} within {K_SEARCH_BOUND} steps",
+        bound=K_SEARCH_BOUND,
     )
 
 
@@ -312,7 +311,6 @@ def witness_directional_power(
     u: Pattern,
     v: Pattern,
     alpha_bound: int,
-    search_bound: int = K_SEARCH_BOUND,
 ) -> DirectionalWitness:
     """Directional witnesses for the modulus l**n with one depth step for all multipliers.
 
@@ -331,7 +329,7 @@ def witness_directional_power(
     require_admissible(u, "u")
     require_admissible(v, "v")
     q = l**n
-    cover = _connector_cover(omega, l, n, u, v, search_bound)
+    cover = _connector_cover(omega, l, n, u, v)
     k1 = decompose(u.length, l).k
     k = (cover.common_offset - k1) // n
     certs = []

@@ -5,6 +5,7 @@ staying off the graph/fiber code paths it cross-checks.
 """
 
 from itertools import product
+from math import gcd
 
 from multishift.shift_core import SftSpec, SpacingSpec
 
@@ -42,6 +43,48 @@ def sft_language(spec: SftSpec, n: int) -> set[str]:
         if clean(w) and can_extend(w[-keep:] if keep else "", slack):
             out.add(w)
     return out
+
+
+def brute_graph_structure(spec: SftSpec):
+    """Window-graph structure from the language alone, by search over strings.
+
+    Windows are the admissible words of length max(memory - 1, 1); each
+    admissible word one longer is an edge from its prefix to its suffix.
+    Returns the strongly connected components (as sets of windows), the
+    windows on a cycle, the sorted windows no cycle reaches, and the
+    cycle-length gcd when the graph is strongly connected (else None).
+    """
+    window = max(spec.memory - 1, 1)
+    windows = sorted(sft_language(spec, window))
+    edges: dict[str, set[str]] = {}
+    for w in sft_language(spec, window + 1):
+        edges.setdefault(w[:-1], set()).add(w[1:])
+
+    def after_one_or_more(start: str) -> set[str]:
+        seen, todo = set(), [start]
+        while todo:
+            for d in edges.get(todo.pop(), ()):
+                if d not in seen:
+                    seen.add(d)
+                    todo.append(d)
+        return seen
+
+    reach = {w: after_one_or_more(w) for w in windows}
+    components = {frozenset({w} | {x for x in reach[w] if w in reach[x]}) for w in windows}
+    cyclic = {w for w in windows if w in reach[w]}
+    alive = cyclic.union(*(reach[w] for w in cyclic))
+    dead = [w for w in windows if w not in alive]
+    period = None
+    if len(components) == 1:
+        # every simple cycle is a closed walk of length <= len(windows) through one of its windows
+        period = 0
+        for w in windows:
+            layer = {w}
+            for t in range(1, len(windows) + 1):
+                layer = {d for x in layer for d in edges.get(x, ())}
+                if w in layer:
+                    period = gcd(period, t)
+    return components, cyclic, dead, period
 
 
 def spacing_language(spec: SpacingSpec, n: int) -> set[str]:

@@ -1,8 +1,10 @@
 import itertools
+import random
+import time
 
 import pytest
 
-from brute import brute_connector_gaps, brute_extendable, language
+from brute import brute_connector_gaps, brute_extendable, brute_graph_structure, language
 from multishift.errors import HorizonExceeded, InadmissiblePattern, PreconditionFailed, SpecError, UndecidableProperty
 from multishift.shift_core import (
     PROPERTIES,
@@ -188,6 +190,67 @@ def test_one_sided_extensibility_dead_end():
     spec = sft(2, ["01", "11"])
     assert word_admissible(spec, "1")
     assert decide(spec, "extensible").value is False
+
+
+def _window_sets(g, masks):
+    return {frozenset(v for i, v in enumerate(g.vertices) if mask >> i & 1) for mask in masks}
+
+
+def test_window_graph_structure_matches_string_search():
+    # components, cycle windows, period and dead windows are state-set closures over the
+    # window graph; the reference searches strings of the language
+    from multishift.oracle import _nonextensible_refutation
+    from multishift.shift_core import _components, _cycle_vertices, _dead_windows, _period
+
+    rng = random.Random(808)
+    specs = list(all_small_sfts(2)) + [sft(3, ["00", "02", "10", "11", "21", "22"])]  # the cycle 0 -> 1 -> 2 -> 0
+    for _ in range(300):
+        alphabet = rng.choice([2, 3])
+        pool = ["".join(rng.choice("012"[:alphabet]) for _ in range(rng.randint(1, 4))) for _ in range(8)]
+        specs.append(sft(alphabet, rng.sample(pool, rng.randint(0, 5))))
+    seen = set()
+    for spec in specs:
+        g = build_graph(spec)
+        components, cyclic, dead, period = brute_graph_structure(spec)
+        assert _window_sets(g, _components(g)) == components, spec
+        assert _window_sets(g, [_cycle_vertices(g)]) == {frozenset(cyclic)}, spec
+        assert _dead_windows(g) == dead, spec
+        if period is not None:
+            assert _period(g) == period, spec
+            seen.add(f"period {min(period, 3)}")
+        refutation = _nonextensible_refutation(spec, 2)
+        if dead:
+            assert refutation is not None and refutation[2] == dead[0], spec
+            seen.add("refuted")
+        else:
+            assert refutation is None, spec
+        seen.add(f"components {min(len(components), 3)}")
+        seen.add(f"cycle windows {'all' if len(cyclic) == len(g) else 'some'}")
+    assert seen == {
+        "period 1", "period 2", "period 3", "refuted",
+        "components 0", "components 1", "components 2", "components 3",
+        "cycle windows all", "cycle windows some",
+    }
+
+
+def test_window_graph_structure_on_715_windows():
+    # nondecreasing points over ten symbols that never hold 0 five times running: the
+    # windows are the 715 nondecreasing 4-words, each its own component; only the nine
+    # constant windows 1111..9999 lie on a cycle, and no cycle reaches a window starting with 0
+    from multishift.shift_core import _dead_windows
+
+    spec = sft(10, [f"{b}{a}" for b in range(10) for a in range(b)] + ["00000"])
+    g = build_graph(spec)
+    start = time.process_time()
+    verdicts = {prop: decide(spec, prop) for prop in PROPERTIES}
+    elapsed = time.process_time() - start
+    assert len(g) == 715
+    assert not any(v.value for v in verdicts.values())
+    assert "9 cycle vertices" in verdicts["extensible"].evidence
+    assert verdicts["transitive"].evidence.endswith("has 715 strongly connected component(s)")
+    dead = _dead_windows(g)
+    assert dead == [v for v in g.vertices if v.startswith("0")] and len(dead) == 220
+    assert elapsed < 0.5, f"five decide calls took {elapsed:.2f} s of CPU"
 
 
 # --- connectors ---------------------------------------------------------------
