@@ -120,9 +120,6 @@ class Pattern:
     def is_block(self) -> bool:
         return len(self.entries) == self.length  # positions are distinct, sorted and >= 1
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
-
     def block_word(self) -> str:
         if not self.is_block:
             raise ValueError("pattern support is not an initial segment")
@@ -142,18 +139,12 @@ class Pattern:
 def fiber(u: Pattern, rep: int) -> tuple[tuple[int, int], ...]:
     """Partial base-space word read along the chain of ``rep``.
 
-    Depth j corresponds to position rep * base**(j-1); every chain
-    position up to the pattern length counts, whether or not it is
-    constrained, so the result may have gaps.
+    Depth j corresponds to position rep * base**(j-1); only constrained
+    chain positions are listed, so the result may have gaps.
     """
     if rep % u.base == 0:
         raise ValueError(f"{rep} is not a chain representative for base {u.base}")
-    entries = u.as_dict()
-    out = []
-    for j, pos in enumerate(chain_positions(rep, u.length, u.base), start=1):
-        if pos in entries:
-            out.append((j, entries[pos]))
-    return tuple(out)
+    return u.fibers().get(rep, ())
 
 
 def pi_positions(q: int, support: Iterable[int]) -> frozenset[int]:
@@ -269,11 +260,7 @@ def multiplier_constraints(u: Pattern, v: Pattern, multiplier: int) -> Multiplie
         if old is not None and old != sym:
             conflicts.append((p, old, sym))
         merged[p] = sym
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for pos, sym in merged.items():
-        d = decompose(pos, u.base)
-        groups.setdefault(d.alpha, []).append((d.k + 1, sym))
-    grouped = tuple((rep, tuple(sorted(cons))) for rep, cons in sorted(groups.items()))
+    grouped = tuple(Pattern.make(merged, u.base, u.omega).fibers().items())
     return MultiplierConstraintSet(multiplier, grouped, tuple(conflicts))
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import mult_shift, shift_core, witness as witness_mod
-from .errors import ConnectorNotFound, InadmissiblePattern, PreconditionFailed, UndecidableProperty
+from .errors import ConnectorNotFound, PreconditionFailed, UndecidableProperty
 from .lambda_arith import a_set, decompose, product_offset_bound
 from .mult_shift import Pattern, multiplier_constraints, parse_pattern
 from .shift_core import PROPERTIES, SftSpec, ShiftSpec, SpacingSpec, sft, spec_to_dict, word_pins
@@ -130,16 +130,9 @@ def verify_certificate(omega: ShiftSpec, l: int, cert: WitnessCertificate) -> tu
         return False, f"constraints conflict at positions {[c[0] for c in mcs.conflicts]}"
     if mcs.groups != cert.constraints:
         return False, "constraint transcript disagrees with the patterns and multiplier"
-    needed = max(rep * l ** (d - 1) for rep, cons in mcs.groups for d, _ in cons)
-    if len(cert.prefix) < needed:
-        return False, f"prefix length {len(cert.prefix)} does not cover position {needed}"
-    for rep, cons in mcs.groups:
-        for depth, sym in cons:
-            pos = rep * l ** (depth - 1)
-            if int(cert.prefix[pos - 1]) != sym:
-                return False, f"prefix violates the constraint at position {pos}"
-    if not mult_shift.is_admissible(Pattern.block(cert.prefix, l, omega)):
-        return False, "prefix is not an admissible block"
+    why = witness_mod.prefix_fault(omega, l, mcs.groups, cert.prefix)
+    if why:
+        return False, why
     # last: the prefix, now known to cover |u| * |v|, bounds the cover's offset computations
     if cert.cover is not None:
         why = _cover_fault(omega, l, u, v, cert)
@@ -194,11 +187,10 @@ def _split(n: int, l: int) -> tuple[int, int]:
 
 
 class _PairProbe:
-    """Per-pair decision engine for the multipliers |u| * alpha * q**k.
+    """Per-pair decision engine for the multipliers |u| * m * l**e (any m >= 1, e >= 0).
 
-    With q = a_q * l**n (l not dividing a_q), v's chain j lands on the
-    chain of alpha1 * alpha * a_q**k * j, n * k levels deeper.  Each
-    (alpha, k) query is one offset-table lookup per v chain, exactly:
+    v's chain j lands on the chain of alpha1 * m * j, e levels deeper.
+    Each (m, e) query is one offset-table lookup per v chain, exactly:
 
     * Injectivity.  For one multiplier M, M * j1 and M * j2 share a chain
       only if j1 / j2 is a power of l, and two base-free j1, j2 then
@@ -211,10 +203,11 @@ class _PairProbe:
       admissibility), and a query fails outright when one of them fails.
     """
 
-    def __init__(self, omega: ShiftSpec, l: int, u: Pattern, v: Pattern, q: int):
+    def __init__(self, omega: ShiftSpec, l: int, u: Pattern, v: Pattern):
         self.omega = omega
         self.l = l
-        self.a_q, self.n = _split(q, l)
+        self.u = u
+        self.v = v
         self.alpha1, self.k1 = _split(u.length, l)
         self.u_groups = u.fibers()
         self.v_groups = v.fibers()
@@ -222,7 +215,7 @@ class _PairProbe:
         self._targets: dict[int, list[tuple]] = {}
 
     def _target_layout(self, m: int) -> list[tuple]:
-        """Per v chain at m = alpha * a_q**k: target chain, depth offset before the n*k shift, fiber, offset table."""
+        """Per v chain at m: target chain, depth offset before the e shift, fiber, offset table."""
         layout = self._targets.get(m)
         if layout is None:
             layout = []
@@ -233,21 +226,19 @@ class _PairProbe:
             self._targets[m] = layout
         return layout
 
-    def decide(self, alpha: int, k: int) -> bool:
+    def decide(self, m: int, e: int) -> bool:
         if self.u_bad:
             return False
-        shift = self.n * k
-        for _, base, _, table in self._target_layout(alpha * self.a_q**k):
-            if not table[base + shift]:
+        for _, base, _, table in self._target_layout(m):
+            if not table[base + e]:
                 return False
         return True
 
-    def class_feasible(self, alpha: int, k: int) -> dict[int, bool]:
-        """Per-chain feasibility at (alpha, k), for obstruction transcripts."""
+    def class_feasible(self, m: int, e: int) -> dict[int, bool]:
+        """Per-chain feasibility at (m, e), for obstruction transcripts."""
         out = {rep: rep not in self.u_bad for rep in self.u_groups}
-        shift = self.n * k
-        for target, base, _, table in self._target_layout(alpha * self.a_q**k):
-            out[target] = table[base + shift]
+        for target, base, _, table in self._target_layout(m):
+            out[target] = table[base + e]
         return out
 
 
@@ -255,8 +246,8 @@ class _PairProbe:
 # all-k infeasibility proofs (finite-type base spaces, power moduli)
 
 
-def _forall_k_proof(probe: _PairProbe, alpha: int) -> Optional[dict]:
-    """Proof that no depth k admits a witness at this multiplier residue, or None.
+def _forall_k_proof(probe: _PairProbe, alpha: int, n: int) -> Optional[dict]:
+    """Proof that no depth k admits a witness at the multipliers |u| * alpha * l**(n*k), or None.
 
     Only for finite-type base spaces: per chain, the state sets reachable
     after the static constraints evolve periodically under unconstrained
@@ -270,7 +261,6 @@ def _forall_k_proof(probe: _PairProbe, alpha: int) -> Optional[dict]:
     g = shift_core.build_graph(omega)
     if not g.vertices:
         return None
-    n = probe.n
     k_star = 0
     periods = []
     for target, base, cons, _ in probe._target_layout(alpha):
@@ -291,11 +281,11 @@ def _forall_k_proof(probe: _PairProbe, alpha: int) -> Optional[dict]:
     cycle = math.lcm(*periods)
     horizon = k_star + cycle
     for k in range(horizon):
-        if probe.decide(alpha, k):
+        if probe.decide(alpha, n * k):
             return None
     residue_table: dict[int, list[int]] = {}
     for k in range(k_star, k_star + cycle):
-        for rep, ok in probe.class_feasible(alpha, k).items():
+        for rep, ok in probe.class_feasible(alpha, n * k).items():
             if ok:
                 residue_table.setdefault(rep, []).append(k % cycle)
     return {
@@ -343,29 +333,30 @@ def probe_directional_q(
     mult_shift.require_admissible(v, "v")
     if q < 2:
         raise ValueError("modulus must be >= 2")
-    probe = _PairProbe(omega, l, u, v, q)
+    return _directional(_PairProbe(omega, l, u, v), q, budget)
+
+
+def _directional(probe: _PairProbe, q: int, budget: SearchBudget) -> DirectionalVerdict:
+    """``probe_directional_q`` on a built engine: the multiplier |u| * alpha * q**k is (alpha * a_q**k, n * k)."""
+    a_q, n = _split(q, probe.l)
     alphas = a_set(q, budget.alpha_bound)
+    literals = mult_shift.format_pattern(probe.u), mult_shift.format_pattern(probe.v)
     failures = []
     for k in range(budget.k_bound + 1):
-        bad = next((alpha for alpha in alphas if not probe.decide(alpha, k)), None)
+        step, e = a_q**k, n * k
+        bad = next((alpha for alpha in alphas if not probe.decide(alpha * step, e)), None)
         if bad is None:
-            return DirectionalVerdict(
-                q, mult_shift.format_pattern(u), mult_shift.format_pattern(v),
-                "witnessed", k, tuple(failures), None, budget,
-            )
+            return DirectionalVerdict(q, *literals, "witnessed", k, tuple(failures), None, budget)
         failures.append((k, bad))
     proof = None
-    if probe.a_q == 1:  # the all-k proof needs a power modulus
-        always_failing = [a for a in alphas if all(not probe.decide(a, k) for k in range(budget.k_bound + 1))]
+    if a_q == 1:  # the all-k proof needs a power modulus
+        always_failing = [a for a in alphas if all(not probe.decide(a, n * k) for k in range(budget.k_bound + 1))]
         for alpha in always_failing:
-            proof = _forall_k_proof(probe, alpha)
+            proof = _forall_k_proof(probe, alpha, n)
             if proof is not None:
                 break
     status = "proved_negative" if proof is not None else "inconclusive_negative"
-    return DirectionalVerdict(
-        q, mult_shift.format_pattern(u), mult_shift.format_pattern(v),
-        status, None, tuple(failures), proof, budget,
-    )
+    return DirectionalVerdict(q, *literals, status, None, tuple(failures), proof, budget)
 
 
 @dataclass(frozen=True)
@@ -408,27 +399,30 @@ def probe_transitive_X(omega: ShiftSpec, l: int, budget: SearchBudget) -> Transi
     least chain offset any multiplier produces.
     """
     pats = x_block_patterns(omega, l, budget.pair_length_bound)
+    return _transitive(l, [_PairProbe(omega, l, u, v) for u, v in itertools.product(pats, pats)], budget)
+
+
+def _transitive(l: int, probes: Sequence[_PairProbe], budget: SearchBudget) -> TransitiveVerdict:
+    """``probe_transitive_X`` on built engines, one per pattern pair."""
     order = _alpha_k_order(l, budget)
     failing = []
     proofs = []
     witnessed = 0
-    for u in pats:
-        for v in pats:
-            probe = _PairProbe(omega, l, u, v, l)
-            if any(probe.decide(alpha, k) for alpha, k in order):
-                witnessed += 1
-                continue
-            failing.append((mult_shift.format_pattern(u), mult_shift.format_pattern(v)))
-            proof = _never_witnessable_proof(omega, l, u, v)
-            if proof is not None:
-                proofs.append(proof)
+    for probe in probes:
+        if any(probe.decide(alpha, k) for alpha, k in order):
+            witnessed += 1
+            continue
+        failing.append((mult_shift.format_pattern(probe.u), mult_shift.format_pattern(probe.v)))
+        proof = _never_witnessable_proof(probe.omega, l, probe.u, probe.v)
+        if proof is not None:
+            proofs.append(proof)
     if not failing:
         status = "witnessed"
     elif proofs:
         status = "proved_negative"
     else:
         status = "inconclusive_negative"
-    return TransitiveVerdict(status, len(pats) ** 2, witnessed, tuple(failing), tuple(proofs), budget)
+    return TransitiveVerdict(status, len(probes), witnessed, tuple(failing), tuple(proofs), budget)
 
 
 def _never_witnessable_proof(omega: ShiftSpec, l: int, u: Pattern, v: Pattern) -> Optional[dict]:
@@ -615,9 +609,10 @@ def _campaign_row(spec: ShiftSpec, l: int, budget: SearchBudget) -> CampaignRow:
         return row
 
     pats = x_block_patterns(spec, l, budget.pair_length_bound)
-    _check_transitivity(row, spec, l, budget, pats)
-    _check_directional(row, spec, l, budget, pats)
-    _check_mixing(row, spec, l, budget, pats)
+    probes = [_PairProbe(spec, l, u, v) for u, v in itertools.product(pats, pats)]
+    _check_transitivity(row, spec, l, budget, pats, probes)
+    _check_directional(row, spec, l, budget, pats, probes)
+    _check_mixing(row, spec, l, budget, pats, probes)
     return row
 
 
@@ -629,9 +624,9 @@ def _record_cert(row: CampaignRow, spec: ShiftSpec, l: int, cert: WitnessCertifi
         row.hard.append({"check": where, "kind": "certificate_failed_verification", "reason": reason})
 
 
-def _check_transitivity(row, spec, l, budget, pats) -> None:
+def _check_transitivity(row, spec, l, budget, pats, probes) -> None:
     extensible = row.omega_verdicts["extensible"]
-    verdict = probe_transitive_X(spec, l, budget)
+    verdict = _transitive(l, probes, budget)
     row.x_probes["transitive"] = verdict.status
     if extensible:
         if verdict.status != "witnessed":
@@ -649,14 +644,10 @@ def _check_transitivity(row, spec, l, budget, pats) -> None:
             _record_cert(row, spec, l, cert, "transitivity")
         row.checks["transitivity"] = "pass"
         return
-    # predicted no uniform connections: exhibit a pattern pair no multiplier connects
-    refutation = _nonextensible_refutation(spec, l)
-    if refutation is None:
-        row.checks["transitivity"] = "inconclusive"
-        row.notes.append("no placement obstruction found within the window graph")
-        return
-    u, v, word, offset = refutation
-    probe = _PairProbe(spec, l, u, v, l)
+    # predicted no uniform connections: exhibit a pattern pair no multiplier connects.  A
+    # non-extensible row is finite-type with a nonempty language, so it has a dead window.
+    u, v, word, offset = _nonextensible_refutation(spec, l)
+    probe = _PairProbe(spec, l, u, v)
     found = [(a, k) for a, k in _alpha_k_order(l, budget) if probe.decide(a, k)]
     if found:
         row.hard.append(
@@ -692,9 +683,8 @@ def _nonextensible_refutation(spec: ShiftSpec, l: int):
         return None
     word = dead[0]
     placed = shift_core.offset_table(spec, (), word_pins(word))
-    offset = next((m for m in range(1, len(g.vertices) + 2) if not placed[m]), None)
-    if offset is None:
-        return None
+    # only dead windows precede a dead window, and they form no cycle: it lies fewer than len(g) positions deep
+    offset = next(m for m in range(1, len(g.vertices) + 2) if not placed[m])
     u_len = l**offset
     fibers = {}
     for rep in mult_shift.class_reps(u_len, l):
@@ -709,16 +699,16 @@ def _nonextensible_refutation(spec: ShiftSpec, l: int):
     return u, v, word, offset
 
 
-def _check_directional(row, spec, l, budget, pats) -> None:
+def _check_directional(row, spec, l, budget, pats, probes) -> None:
     wm = row.omega_verdicts["weakly_mixing"]
-    for label, q, n in (("directional_l", l, 1), ("directional_l2", l * l, 2)):
+    for label, n in (("directional_l", 1), ("directional_l2", 2)):
         statuses = []
         first_negative = None
-        for u, v in itertools.product(pats, pats):
-            verdict = probe_directional_q(spec, l, q, u, v, budget)
-            statuses.append(verdict.status)
-            if verdict.status != "witnessed" and first_negative is None:
-                first_negative = verdict
+        for probe in probes:
+            status = _directional(probe, l**n, budget).status
+            statuses.append(status)
+            if status != "witnessed" and first_negative is None:
+                first_negative = probe
         if all(s == "witnessed" for s in statuses):
             row.x_probes[label] = "witnessed"
         elif any(s == "proved_negative" for s in statuses):
@@ -727,16 +717,17 @@ def _check_directional(row, spec, l, budget, pats) -> None:
             row.x_probes[label] = "inconclusive_negative"
         if wm:
             if first_negative is not None:
-                rescued = _rescue_directional(spec, l, n, first_negative)
-                if rescued:
+                u, v = first_negative.u, first_negative.v
+                try:  # a uniform depth may exist beyond the probe budget
+                    witness_mod.witness_directional_power(spec, l, n, u, v, budget.alpha_bound)
                     row.notes.append(f"{label}: a pair needed a depth step beyond the budget")
-                else:
+                except (ConnectorNotFound, PreconditionFailed):
                     row.hard.append(
                         {
                             "check": "directional",
                             "kind": "predicted_uniform_depth_missing",
-                            "q": q,
-                            "pair": (first_negative.u_literal, first_negative.v_literal),
+                            "q": l**n,
+                            "pair": (mult_shift.format_pattern(u), mult_shift.format_pattern(v)),
                         }
                     )
                     row.checks["directional"] = "fail"
@@ -766,18 +757,7 @@ def _check_directional(row, spec, l, budget, pats) -> None:
             row.checks["directional"] = "inconclusive"
 
 
-def _rescue_directional(spec, l, n, verdict: DirectionalVerdict) -> bool:
-    """Check whether a predicted uniform depth exists beyond the probe budget."""
-    try:
-        u = parse_pattern(verdict.u_literal, spec, base=l)
-        v = parse_pattern(verdict.v_literal, spec, base=l)
-        witness_mod.witness_directional_power(spec, l, n, u, v, alpha_bound=verdict.budget.alpha_bound)
-        return True
-    except (ConnectorNotFound, PreconditionFailed, InadmissiblePattern):
-        return False
-
-
-def _check_mixing(row, spec, l, budget, pats) -> None:
+def _check_mixing(row, spec, l, budget, pats, probes) -> None:
     mixing = row.omega_verdicts["mixing"]
     if mixing:
         threshold = shift_core.mixing_gap_index(spec, budget.pair_length_bound)
@@ -792,15 +772,14 @@ def _check_mixing(row, spec, l, budget, pats) -> None:
             row.checks["mixing"] = "inconclusive"
             row.notes.append(f"mixing window above l**{threshold} is out of budget reach")
             return
-        for u, v in itertools.product(pats, pats):
-            probe = _PairProbe(spec, l, u, v, l)
+        for probe in probes:
             bad = [(a, k) for a, k in window if not probe.decide(a, k)]
             if bad:
                 row.hard.append(
                     {
                         "check": "mixing",
                         "kind": "threshold_multiplier_unwitnessed",
-                        "pair": (mult_shift.format_pattern(u), mult_shift.format_pattern(v)),
+                        "pair": (mult_shift.format_pattern(probe.u), mult_shift.format_pattern(probe.v)),
                         "threshold": threshold,
                         "failing": bad[:3],
                     }

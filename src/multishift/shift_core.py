@@ -129,7 +129,7 @@ class SpacingSpec:
     def allows_gap(self, gap: int) -> bool:
         if gap < 0 or gap > self.horizon:
             raise HorizonExceeded(f"gap {gap} outside tabulated range [0, {self.horizon}]")
-        return gap not in _complement_set(self)
+        return gap not in _ctx(self).complement
 
 
 def spacing(declared_class: str, complement: Iterable[int] = (), horizon: int = DEFAULT_HORIZON) -> SpacingSpec:
@@ -246,11 +246,13 @@ class _Ctx:
         "_gamma",
         "_gap_index",
         "_offsets",
+        "complement",
     )
 
     def __init__(self, spec: ShiftSpec):
         self.spec = spec
         self.graph = _build_graph(spec) if isinstance(spec, SftSpec) else None
+        self.complement = frozenset(spec.complement) if isinstance(spec, SpacingSpec) else None
         self._blocks: dict[int, frozenset[str]] = {}
         self._extendable: dict[tuple, bool] = {}
         self._least: dict[tuple, Optional[str]] = {}
@@ -266,28 +268,13 @@ _CACHED_SPECS = 64
 _CONTEXTS: dict[ShiftSpec, _Ctx] = {}
 
 
-def _cache_put(table: dict, key, value):
-    if len(table) >= _CACHED_SPECS:
-        del table[next(iter(table))]
-    table[key] = value
-    return value
-
-
 def _ctx(spec: ShiftSpec) -> _Ctx:
     ctx = _CONTEXTS.get(spec)
     if ctx is None:
-        ctx = _cache_put(_CONTEXTS, spec, _Ctx(spec))
+        if len(_CONTEXTS) >= _CACHED_SPECS:
+            del _CONTEXTS[next(iter(_CONTEXTS))]
+        ctx = _CONTEXTS[spec] = _Ctx(spec)
     return ctx
-
-
-_COMPLEMENTS: dict[SpacingSpec, frozenset[int]] = {}
-
-
-def _complement_set(spec: SpacingSpec) -> frozenset[int]:
-    s = _COMPLEMENTS.get(spec)
-    if s is None:
-        s = _cache_put(_COMPLEMENTS, spec, frozenset(spec.complement))
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +382,7 @@ def _sft_blocks(ctx: _Ctx, n: int) -> frozenset[str]:
 def _spacing_blocks(spec: SpacingSpec, n: int) -> frozenset[str]:
     if n > spec.horizon:
         raise HorizonExceeded(f"word length {n} exceeds horizon {spec.horizon}")
-    comp = _complement_set(spec)
+    comp = _ctx(spec).complement
     out: list[str] = []
 
     def extend(prefix: str, ones: tuple[int, ...]) -> None:
@@ -532,7 +519,7 @@ def _spacing_extendable(spec: SpacingSpec, cmap: Mapping[int, int]) -> bool:
         raise HorizonExceeded(f"position {max(cmap)} exceeds horizon {spec.horizon}")
     if any(sym not in (0, 1) for sym in cmap.values()):
         return False
-    comp = _complement_set(spec)
+    comp = _ctx(spec).complement
     ones = sorted(p for p, sym in cmap.items() if sym == 1)
     for a in range(len(ones)):
         for b in range(a + 1, len(ones)):

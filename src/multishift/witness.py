@@ -173,15 +173,25 @@ def try_certificate(
     return cert
 
 
-def _self_check(omega: ShiftSpec, l: int, cert: WitnessCertificate) -> None:
-    block = cert.prefix
-    for rep, cons in cert.constraints:
+def prefix_fault(omega: ShiftSpec, l: int, groups: tuple, prefix: str) -> Optional[str]:
+    """Why ``prefix`` is no admissible block meeting the per-chain (depth, symbol) groups, or None."""
+    needed = max(rep * l ** (d - 1) for rep, cons in groups for d, _ in cons)
+    if len(prefix) < needed:
+        return f"prefix length {len(prefix)} does not cover position {needed}"
+    for rep, cons in groups:
         for depth, sym in cons:
             pos = rep * l ** (depth - 1)
-            if int(block[pos - 1]) != sym:
-                raise AssertionError(f"certificate prefix violates constraint at position {pos}")
-    if not mult_shift.is_admissible(Pattern.block(block, l, omega)):
-        raise AssertionError("certificate prefix is not admissible")
+            if int(prefix[pos - 1]) != sym:
+                return f"prefix violates the constraint at position {pos}"
+    if not mult_shift.is_admissible(Pattern.block(prefix, l, omega)):
+        return "prefix is not an admissible block"
+    return None
+
+
+def _self_check(omega: ShiftSpec, l: int, cert: WitnessCertificate) -> None:
+    why = prefix_fault(omega, l, cert.constraints, cert.prefix)
+    if why:
+        raise AssertionError(why)
 
 
 def _prime_factors(n: int) -> set[int]:

@@ -104,6 +104,8 @@ def test_probe_transitive_pinned():
     assert probe_transitive_X(RAMP, 2, budget).status == "witnessed"
     assert probe_transitive_X(sft(2, ["0"]), 2, budget).status == "witnessed"
     assert probe_transitive_X(ALT, 2, budget).status == "witnessed"
+    empty = probe_transitive_X(sft(2, ["0", "1"]), 2, budget)  # no block, so no pair to connect
+    assert (empty.status, empty.pairs_checked, empty.witnessed) == ("witnessed", 0, 0)
 
 
 def test_probe_transitive_proves_obstruction():
@@ -152,7 +154,7 @@ def test_proved_negatives_hold_far_beyond_their_horizon():
             continue
         alpha = verdict.proof["alpha"]
         horizon = verdict.proof["horizon"]
-        probe = _PairProbe(spec, 2, u, v, 2)
+        probe = _PairProbe(spec, 2, u, v)
         for k in range(horizon + 25):
             assert not probe.decide(alpha, k), (spec, alpha, k)
 
@@ -193,36 +195,79 @@ def test_probe_directional_non_power_moduli_against_naive():
     assert {status for _, _, status in seen} == {"witnessed", "inconclusive_negative"}
 
 
+def test_probe_directional_square_modulus_against_naive():
+    # q = l**2: one depth step k moves v's fibers two levels, so the multiplier is |u| * alpha * l**(2k)
+    rng = random.Random(616)
+    specs = [GOLDEN, RAMP, ALT, sft(2, []), sft(2, ["000", "11"])]
+    budget = SearchBudget(alpha_bound=5, k_bound=2, pair_length_bound=2)
+    seen = set()
+    checked = 0
+    while checked < 40:
+        spec = rng.choice(specs)
+        l = rng.choice([2, 3])
+        u = _random_pattern(rng, spec, l, 3, depth_cap=2)
+        v = _random_pattern(rng, spec, l, 2, depth_cap=2)
+        if not (is_admissible(u) and is_admissible(v)):
+            continue
+        verdict = probe_directional_q(spec, l, l * l, u, v, budget)
+
+        def fits(alpha, k):
+            return naive_exists_witness(spec, l, u, v, alpha, 2 * k, depth_cap=12)
+
+        for k, alpha in verdict.per_k_failures:
+            assert not fits(alpha, k), (spec, l, u.entries, v.entries, alpha, k)
+        if verdict.status == "witnessed":
+            assert all(fits(alpha, verdict.k) for alpha in range(1, budget.alpha_bound + 1) if alpha % (l * l))
+        seen.add(verdict.status)
+        checked += 1
+    assert {"witnessed", "proved_negative"} <= seen
+
+
 def _random_sft(rng, alphabet):
     digits = "0123456789"[:alphabet]
     pool = ["".join(rng.choice(digits) for _ in range(rng.randint(1, 3))) for _ in range(6)]
     return sft(alphabet, rng.sample(pool, rng.randint(0, 3)))
 
 
+def _expected_chains(spec, l, u, v, multiplier):
+    # the reference merges every pin afresh
+    mcs = multiplier_constraints(u, v, multiplier)
+    clashing = {decompose(p, l).alpha for p, _, _ in mcs.conflicts}
+    return {rep: rep not in clashing and partial_extendable(spec, cons) for rep, cons in mcs.groups}
+
+
 def test_pair_probe_matches_merged_constraints():
-    # decide/class_feasible read per-spec offset tables; the reference merges every pin afresh
+    # decide/class_feasible read per-spec offset tables for the multiplier |u| * m * l**e;
+    # a modulus q = a_q * l**n asks (alpha * a_q**k, n * k), and m may be divisible by l
     from multishift.oracle import _PairProbe
 
     rng = random.Random(707)
-    checked = set()
+    checked, divisible = set(), set()
     for _ in range(300):
         spec = _random_sft(rng, rng.choice([2, 3]))
         l = rng.choice([2, 3, 4, 6])
         q = rng.choice(sorted({l, l * l, 6}))
+        d = decompose(q, l)  # q = a_q * l**n
         m = spec.alphabet
         u = Pattern.make({p: rng.randrange(m) for p in rng.sample(range(1, 13), rng.randint(1, 4))}, l, spec)
         v = Pattern.make({p: rng.randrange(m) for p in rng.sample(range(1, 9), rng.randint(1, 3))}, l, spec)
-        probe = _PairProbe(spec, l, u, v, q)
+        probe = _PairProbe(spec, l, u, v)
+        where = (spec, l, q, u.entries, v.entries)
         for alpha in (a for a in range(1, 10) if a % q):
             for k in range(4):
-                mcs = multiplier_constraints(u, v, u.length * alpha * q**k)
-                clashing = {decompose(p, l).alpha for p, _, _ in mcs.conflicts}
-                expected = {rep: rep not in clashing and partial_extendable(spec, cons) for rep, cons in mcs.groups}
-                assert probe.class_feasible(alpha, k) == expected, (spec, l, q, u.entries, v.entries, alpha, k)
-                assert probe.decide(alpha, k) == all(expected.values()), (spec, l, q, u.entries, v.entries, alpha, k)
+                expected = _expected_chains(spec, l, u, v, u.length * alpha * q**k)
+                assert probe.class_feasible(alpha * d.alpha**k, d.k * k) == expected, (*where, alpha, k)
+                assert probe.decide(alpha * d.alpha**k, d.k * k) == all(expected.values()), (*where, alpha, k)
                 checked.add((spec.alphabet, l, q, all(expected.values())))
+        for mult in (l, 2 * l):
+            for e in range(3):
+                expected = _expected_chains(spec, l, u, v, u.length * mult * l**e)
+                assert probe.class_feasible(mult, e) == expected, (*where, mult, e)
+                assert probe.decide(mult, e) == all(expected.values()), (*where, mult, e)
+                divisible.add(all(expected.values()))
     assert {(a, l) for a, l, _, _ in checked} == {(a, l) for a in (2, 3) for l in (2, 3, 4, 6)}
     assert {ok for *_, ok in checked} == {True, False}
+    assert divisible == {True, False}
 
 
 def test_offset_tables_are_kept_per_spec():
@@ -232,7 +277,7 @@ def test_offset_tables_are_kept_per_spec():
     golden, full = sft(2, ["11"]), sft(2, [])
 
     def decide(spec):
-        return _PairProbe(spec, 2, block("1", 2, spec), block("1", 2, spec), 2).decide(1, 1)
+        return _PairProbe(spec, 2, block("1", 2, spec), block("1", 2, spec)).decide(1, 1)
 
     assert decide(golden) is False
     assert decide(full) is True
@@ -248,6 +293,38 @@ def test_target_chains_are_injective(l):
         multiplier = rng.randint(1, 10**6)
         targets = [decompose(multiplier * j, l).alpha for j in reps]
         assert len(set(targets)) == len(targets), multiplier
+
+
+def test_campaign_row_probes_match_public_probes():
+    # a campaign row reads one engine per pattern pair through the inner probes; the public
+    # wrappers build their own engines per call, so the two paths must aggregate alike
+    from multishift.oracle import _campaign_row, x_block_patterns
+
+    def aggregate(statuses):
+        if all(s == "witnessed" for s in statuses):
+            return "witnessed"
+        return "proved_negative" if "proved_negative" in statuses else "inconclusive_negative"
+
+    rng = random.Random(909)
+    specs = [s for s in dedupe_by_language(binary_sft_family(2)) if blocks(s, 1)][:14]
+    while len(specs) < 22:
+        spec = _random_sft(rng, 2)
+        if blocks(spec, 1):
+            specs.append(spec)
+    budget = SearchBudget(alpha_bound=5, k_bound=4, pair_length_bound=2)
+    seen = set()
+    for i, spec in enumerate(specs):
+        l = (2, 3)[i % 2]
+        row = _campaign_row(spec, l, budget)
+        pats = x_block_patterns(spec, l, budget.pair_length_bound)
+        expected = {"transitive": probe_transitive_X(spec, l, budget).status}
+        for label, q in (("directional_l", l), ("directional_l2", l * l)):
+            statuses = [probe_directional_q(spec, l, q, u, v, budget).status for u in pats for v in pats]
+            expected[label] = aggregate(statuses)
+        assert {label: row.x_probes[label] for label in expected} == expected, (spec, l)
+        seen.update(expected.values())
+        seen.add(l)
+    assert seen >= {2, 3, "witnessed", "proved_negative"}
 
 
 def test_probe_budget_monotone():
