@@ -11,6 +11,7 @@ admissibility questions here exact.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
@@ -28,10 +29,12 @@ __all__ = [
     "chain_positions",
     "count_blocks",
     "enumerate_blocks",
+    "extract_fiber_point",
     "fiber",
     "format_pattern",
     "inadmissible_classes",
     "is_admissible",
+    "least_block",
     "multiplier_constraints",
     "parse_pattern",
     "pi_positions",
@@ -42,12 +45,7 @@ ENUMERATION_GUARD = 10_000_000
 
 def chain_length(rep: int, length: int, l: int) -> int:
     """Number of chain positions rep * l**j (j >= 0) that are <= length."""
-    t = 0
-    pos = rep
-    while pos <= length:
-        t += 1
-        pos *= l
-    return t
+    return len(chain_positions(rep, length, l))
 
 
 def chain_positions(rep: int, length: int, l: int) -> list[int]:
@@ -180,34 +178,20 @@ def count_blocks(omega: ShiftSpec, l: int, n: int) -> int:
 
 
 def enumerate_blocks(omega: ShiftSpec, l: int, n: int) -> set[str]:
-    """All admissible blocks on [1, n] (guarded against huge outputs)."""
+    """All admissible blocks on [1, n] (guarded against huge outputs): every choice of chain words."""
     count = count_blocks(omega, l, n)
     if count > ENUMERATION_GUARD:
         raise OutputGuardExceeded(f"{count} blocks exceed the enumeration cap {ENUMERATION_GUARD}")
     reps = class_reps(n, l)
-    per_rep = []
-    for rep in reps:
-        words = sorted(shift_core.blocks(omega, chain_length(rep, n, l)))
-        positions = chain_positions(rep, n, l)
-        per_rep.append((positions, words))
-    blocks_out = [["?"] * n]
-    for positions, words in per_rep:
-        nxt = []
-        for partial in blocks_out:
-            for w in words:
-                chars = partial[:]
-                for pos, ch in zip(positions, w):
-                    chars[pos - 1] = ch
-                nxt.append(chars)
-        blocks_out = nxt
-    return {"".join(chars) for chars in blocks_out}
+    per_rep = [sorted(shift_core.blocks(omega, chain_length(rep, n, l))) for rep in reps]
+    return {assemble(dict(zip(reps, words)), l, n) for words in itertools.product(*per_rep)}
 
 
 def assemble(fibers: Mapping[int, str], l: int, length: int) -> str:
     """Build the block whose chain fibers are the given base-space words.
 
     Every base-free representative up to ``length`` needs a word covering
-    its chain; the block's fiber decomposition returns the inputs back.
+    its chain; ``extract_fiber_point`` reads the inputs back.
     """
     if length < 1:
         raise ValueError("block length must be >= 1")
@@ -222,6 +206,43 @@ def assemble(fibers: Mapping[int, str], l: int, length: int) -> str:
         for pos, ch in zip(positions, word):
             chars[pos - 1] = ch
     return "".join(chars)
+
+
+def extract_fiber_point(y: str, rep: int, l: int, start_depth: int = 1) -> str:
+    """Contiguous base-space word read along one chain of a block: the inverse of ``assemble``.
+
+    ``start_depth`` shifts the chain start, implementing the inverse
+    fiber extraction x_i = y at rep * l**(start_depth + i - 2).
+    """
+    if rep % l == 0:
+        raise ValueError(f"{rep} is not a chain representative for base {l}")
+    if start_depth < 1:
+        raise ValueError("start depth begins at 1")
+    out = []
+    pos = rep * l ** (start_depth - 1)
+    if pos > len(y):
+        raise ValueError(f"chain position {pos} exits the covered prefix of length {len(y)}")
+    while pos <= len(y):
+        out.append(y[pos - 1])
+        pos *= l
+    return "".join(out)
+
+
+def least_block(omega: ShiftSpec, l: int, length: int, groups=()) -> Optional[str]:
+    """Least admissible block on [1, length] meeting per-chain (depth, symbol) pins, or None.
+
+    ``groups`` maps (or lists pairs of) chain representative -> pins.  By
+    fiber independence each chain takes the least base-space word under its
+    own pins; chains without pins take the least word outright.
+    """
+    pins = dict(groups)
+    fibers = {}
+    for rep in class_reps(length, l):
+        word = shift_core.least_word(omega, chain_length(rep, length, l), pins.get(rep, ()))
+        if word is None:
+            return None
+        fibers[rep] = word
+    return assemble(fibers, l, length)
 
 
 @dataclass(frozen=True)

@@ -333,20 +333,24 @@ def probe_directional_q(
     mult_shift.require_admissible(v, "v")
     if q < 2:
         raise ValueError("modulus must be >= 2")
-    return _directional(_PairProbe(omega, l, u, v), q, budget)
+    status, k, failures, proof = _directional(_PairProbe(omega, l, u, v), q, budget)
+    literals = mult_shift.format_pattern(u), mult_shift.format_pattern(v)
+    return DirectionalVerdict(q, *literals, status, k, failures, proof, budget)
 
 
-def _directional(probe: _PairProbe, q: int, budget: SearchBudget) -> DirectionalVerdict:
-    """``probe_directional_q`` on a built engine: the multiplier |u| * alpha * q**k is (alpha * a_q**k, n * k)."""
+def _directional(probe: _PairProbe, q: int, budget: SearchBudget) -> tuple:
+    """``probe_directional_q`` on a built engine, as (status, k, per-k failures, proof).
+
+    The multiplier |u| * alpha * q**k is (alpha * a_q**k, n * k) for q = a_q * l**n.
+    """
     a_q, n = _split(q, probe.l)
     alphas = a_set(q, budget.alpha_bound)
-    literals = mult_shift.format_pattern(probe.u), mult_shift.format_pattern(probe.v)
     failures = []
     for k in range(budget.k_bound + 1):
         step, e = a_q**k, n * k
         bad = next((alpha for alpha in alphas if not probe.decide(alpha * step, e)), None)
         if bad is None:
-            return DirectionalVerdict(q, *literals, "witnessed", k, tuple(failures), None, budget)
+            return "witnessed", k, tuple(failures), None
         failures.append((k, bad))
     proof = None
     if a_q == 1:  # the all-k proof needs a power modulus
@@ -356,7 +360,7 @@ def _directional(probe: _PairProbe, q: int, budget: SearchBudget) -> Directional
             if proof is not None:
                 break
     status = "proved_negative" if proof is not None else "inconclusive_negative"
-    return DirectionalVerdict(q, *literals, status, None, tuple(failures), proof, budget)
+    return status, None, tuple(failures), proof
 
 
 @dataclass(frozen=True)
@@ -685,17 +689,9 @@ def _nonextensible_refutation(spec: ShiftSpec, l: int):
     placed = shift_core.offset_table(spec, (), word_pins(word))
     # only dead windows precede a dead window, and they form no cycle: it lies fewer than len(g) positions deep
     offset = next(m for m in range(1, len(g.vertices) + 2) if not placed[m])
-    u_len = l**offset
-    fibers = {}
-    for rep in mult_shift.class_reps(u_len, l):
-        fibers[rep] = shift_core.least_word(spec, mult_shift.chain_length(rep, u_len, l))
-    u = Pattern.block(mult_shift.assemble(fibers, l, u_len), l, spec)
-    v_len = l ** (len(word) - 1)
-    vfibers = {}
-    for rep in mult_shift.class_reps(v_len, l):
-        t = mult_shift.chain_length(rep, v_len, l)
-        vfibers[rep] = word if rep == 1 else shift_core.least_word(spec, t)
-    v = Pattern.block(mult_shift.assemble(vfibers, l, v_len), l, spec)
+    u = Pattern.block(mult_shift.least_block(spec, l, l**offset), l, spec)
+    # chain 1 of v carries the dead window; every other chain its least word
+    v = Pattern.block(mult_shift.least_block(spec, l, l ** (len(word) - 1), {1: word_pins(word)}), l, spec)
     return u, v, word, offset
 
 
@@ -705,7 +701,7 @@ def _check_directional(row, spec, l, budget, pats, probes) -> None:
         statuses = []
         first_negative = None
         for probe in probes:
-            status = _directional(probe, l**n, budget).status
+            status = _directional(probe, l**n, budget)[0]
             statuses.append(status)
             if status != "witnessed" and first_negative is None:
                 first_negative = probe

@@ -223,6 +223,7 @@ class DeBruijnGraph:
                 for sym in (s, None):
                     self.succ.setdefault(sym, [0] * n)[u] |= 1 << d
                     self.pred.setdefault(sym, [0] * n)[d] |= 1 << u
+        self.components: Optional[tuple[int, ...]] = None  # filled once by _components
         # per window position, per symbol: mask of windows carrying that symbol there
         self.at: list[dict[int, int]] = [{} for _ in range(window)]
         for i, v in enumerate(self.vertices):
@@ -600,16 +601,16 @@ def _closure(table: Mapping[Optional[int], Sequence[int]], states: int) -> int:
     return seen
 
 
-def _components(g: DeBruijnGraph) -> list[int]:
-    """Strongly connected components as masks: a seed's forward closure meets its backward closure."""
-    comps = []
-    rest = g.full
-    while rest:
-        seed = rest & -rest
-        comp = _closure(g.succ, seed) & _closure(g.pred, seed)
-        comps.append(comp)
-        rest &= ~comp
-    return comps
+def _components(g: DeBruijnGraph) -> tuple[int, ...]:
+    """Strongly connected components as masks (a seed's forward closure meets its backward closure), once per graph."""
+    if g.components is None:
+        comps, rest = [], g.full
+        while rest:
+            seed = rest & -rest
+            comps.append(_closure(g.succ, seed) & _closure(g.pred, seed))
+            rest &= ~comps[-1]
+        g.components = tuple(comps)
+    return g.components
 
 
 def _cycle_vertices(g: DeBruijnGraph) -> int:

@@ -25,19 +25,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import mult_shift, shift_core
+from . import shift_core
 from .errors import ConnectorNotFound, NoCoprimePrime, PreconditionFailed, SpecError
 from .lambda_arith import a_set, decompose, factorization, next_prime_avoiding, product_offset_bound, xi
 from .mult_shift import (
     MultiplierConstraintSet,
     Pattern,
-    chain_length,
     class_reps,
+    extract_fiber_point,
     format_pattern,
+    least_block,
     multiplier_constraints,
     require_admissible,
 )
-from .shift_core import ShiftSpec, decide, least_word, mixing_gap_index, word_pins
+from .shift_core import ShiftSpec, decide, least_word, mixing_gap_index, word_admissible, word_pins
 
 __all__ = [
     "ConnectorCover",
@@ -119,25 +120,11 @@ def _fiber_words(u: Pattern) -> dict[int, str]:
 
 
 def _solve_prefix(omega: ShiftSpec, l: int, mcs: MultiplierConstraintSet) -> Optional[str]:
-    """Admissible block satisfying the grouped constraints, or None.
-
-    Constrained chains take their lexicographically least completion;
-    untouched chains take the least base-space word outright.
-    """
+    """Least admissible block satisfying the grouped constraints, or None."""
     if not mcs.satisfiable_form:
         return None
     length = max(rep * l ** (d - 1) for rep, cons in mcs.groups for d, _ in cons)
-    groups = mcs.group_map()
-    fibers = {}
-    for rep in class_reps(length, l):
-        need = chain_length(rep, length, l)
-        cons = groups.get(rep, ())
-        depth = max([need] + [d for d, _ in cons])
-        word = least_word(omega, depth, cons)
-        if word is None:
-            return None
-        fibers[rep] = word
-    return mult_shift.assemble(fibers, l, length)
+    return least_block(omega, l, length, mcs.groups)
 
 
 def try_certificate(
@@ -174,16 +161,20 @@ def try_certificate(
 
 
 def prefix_fault(omega: ShiftSpec, l: int, groups: tuple, prefix: str) -> Optional[str]:
-    """Why ``prefix`` is no admissible block meeting the per-chain (depth, symbol) groups, or None."""
+    """Why ``prefix`` is no admissible block meeting the per-chain (depth, symbol) groups, or None.
+
+    Read chain by chain: by fiber independence the prefix is admissible
+    exactly when every chain word is, so each distinct word is checked once.
+    """
     needed = max(rep * l ** (d - 1) for rep, cons in groups for d, _ in cons)
     if len(prefix) < needed:
         return f"prefix length {len(prefix)} does not cover position {needed}"
+    words = {rep: extract_fiber_point(prefix, rep, l) for rep in class_reps(len(prefix), l)}
     for rep, cons in groups:
         for depth, sym in cons:
-            pos = rep * l ** (depth - 1)
-            if int(prefix[pos - 1]) != sym:
-                return f"prefix violates the constraint at position {pos}"
-    if not mult_shift.is_admissible(Pattern.block(prefix, l, omega)):
+            if int(words[rep][depth - 1]) != sym:
+                return f"prefix violates the constraint at position {rep * l ** (depth - 1)}"
+    if not all(word_admissible(omega, word) for word in set(words.values())):
         return "prefix is not an admissible block"
     return None
 
@@ -384,26 +375,6 @@ def witness_mixing(omega: ShiftSpec, l: int, u: Pattern, v: Pattern) -> MixingWi
         return cert
 
     return MixingWitness(threshold=threshold, build=build)
-
-
-def extract_fiber_point(y: str, rep: int, l: int, start_depth: int = 1) -> str:
-    """Contiguous base-space word read along one chain of a block.
-
-    ``start_depth`` shifts the chain start, implementing the inverse
-    fiber extraction x_i = y at rep * l**(start_depth + i - 2).
-    """
-    if rep % l == 0:
-        raise ValueError(f"{rep} is not a chain representative for base {l}")
-    if start_depth < 1:
-        raise ValueError("start depth begins at 1")
-    out = []
-    pos = rep * l ** (start_depth - 1)
-    if pos > len(y):
-        raise ValueError(f"chain position {pos} exits the covered prefix of length {len(y)}")
-    while pos <= len(y):
-        out.append(y[pos - 1])
-        pos *= l
-    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

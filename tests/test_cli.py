@@ -353,3 +353,25 @@ def test_probe_directional_requires_patterns_and_modulus(capsys, golden_spec, ex
     assert code == 2
     assert out == ""
     assert err.strip() == f"error: --mode directional needs {missing}"
+
+
+def test_verify_out_of_alphabet_prefix_symbol_is_rejected_not_an_error(capsys, golden_spec, tmp_path):
+    # position 4 sits on chain 1 at depth 3, which no constraint pins: the symbol is
+    # checked as part of chain 1's word, so the certificate is refused (exit 1), not malformed
+    from multishift import oracle, witness
+
+    code, out, _ = run(
+        capsys, "witness", "--spec", golden_spec, "--l", "2", "--u", "block:00", "--v", "block:1",
+        "--mode", "exact", "--alpha", "3", "--k", "2",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    prefix = payload["certificate"]["prefix"]
+    payload["certificate"]["prefix"] = prefix[:3] + "7" + prefix[4:]
+    cert = witness.certificate_from_dict(payload["certificate"])
+    assert all(4 not in (rep * 2 ** (d - 1) for d, _ in cons) for rep, cons in cert.constraints)
+    assert oracle.verify_certificate(sft(2, ["11"]), 2, cert) == (False, "prefix is not an admissible block")
+    code, out, err = _verify_payload(capsys, tmp_path, payload)
+    assert code == 1
+    assert json.loads(out)["results"][0]["reason"] == "prefix is not an admissible block"
+    assert err == ""

@@ -1,13 +1,16 @@
+import random
+
 import pytest
 
 from multishift.errors import InadmissiblePattern, NoCoprimePrime, PreconditionFailed
-from multishift.mult_shift import Pattern
+from multishift.mult_shift import Pattern, assemble, chain_length, class_reps, is_admissible, least_block
 from multishift.oracle import exists_witness_exact, verify_certificate
-from multishift.shift_core import sft, spacing
+from multishift.shift_core import alphabet_of, blocks, sft, spacing
 from multishift.witness import (
     certificate_from_dict,
     certificate_to_dict,
     extract_fiber_point,
+    prefix_fault,
     witness_directional_coprime,
     witness_directional_power,
     witness_mixing,
@@ -304,6 +307,71 @@ def test_extraction_recovers_offset_placement():
     cert = build(1)
     # scaled chain of 1 is the chain of 3; depth arithmetic: 6 = 3 * 2
     assert extract_fiber_point(cert.prefix, 3, 2)[:2] == "11"
+
+
+# --- chain-by-chain prefix check -------------------------------------------------
+
+PREFIX_SPECS = (GOLDEN, sft(2, ["000", "101"]), sft(3, ["01", "22"]), sft(3, ["12", "210", "00"]), COFINITE)
+
+
+def _random_block(rng, omega, l, n):
+    """A random admissible block on [1, n]: a random admissible word on every chain."""
+    words = {rep: rng.choice(sorted(blocks(omega, chain_length(rep, n, l)))) for rep in class_reps(n, l)}
+    return assemble(words, l, n)
+
+
+def _random_pins(rng, prefix):
+    """One to four of the prefix's own positions pinned to the symbols it carries there."""
+    return {p: int(prefix[p - 1]) for p in rng.sample(range(1, len(prefix) + 1), min(len(prefix), rng.randint(1, 4)))}
+
+
+def test_prefix_fault_matches_whole_block_admissibility():
+    # reference: the prefix as one Pattern, decomposed position by position
+    rng = random.Random(20191030)
+    seen = {"admissible": 0, "inadmissible": 0, "pin": 0}
+    for omega in PREFIX_SPECS:
+        m = alphabet_of(omega)
+        for l in (2, 3, 4, 6):
+            for _ in range(30):
+                n = rng.randint(1, 200)
+                prefix = list(_random_block(rng, omega, l, n))
+                for p in rng.sample(range(n), rng.choice((0, 1, 2, 3)) if n > 3 else 0):
+                    prefix[p] = str(rng.randrange(m))
+                prefix = "".join(prefix)
+                pins = _random_pins(rng, prefix)
+                if rng.random() < 0.2:
+                    p = rng.choice(sorted(pins))
+                    pins[p] = (pins[p] + 1) % m
+                groups = tuple(Pattern.make(pins, l, omega).fibers().items())
+                violated = {p for p, sym in pins.items() if int(prefix[p - 1]) != sym}
+                fault = prefix_fault(omega, l, groups, prefix)
+                if violated:
+                    seen["pin"] += 1
+                    assert fault is not None and int(fault.rsplit(" ", 1)[1]) in violated, (omega, l, prefix, fault)
+                elif is_admissible(Pattern.block(prefix, l, omega)):
+                    seen["admissible"] += 1
+                    assert fault is None, (omega, l, prefix, fault)
+                else:
+                    seen["inadmissible"] += 1
+                    assert fault == "prefix is not an admissible block", (omega, l, prefix, fault)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_least_block_meets_its_pins_and_is_admissible():
+    rng = random.Random(7)
+    for omega in PREFIX_SPECS:
+        for l in (2, 3, 4, 6):
+            for _ in range(10):
+                n = rng.randint(1, 200)
+                prefix = _random_block(rng, omega, l, n)
+                pins = _random_pins(rng, prefix)
+                least = least_block(omega, l, n, Pattern.make(pins, l, omega).fibers())
+                assert least is not None and len(least) == n
+                assert all(int(least[p - 1]) == sym for p, sym in pins.items())
+                assert is_admissible(Pattern.block(least, l, omega))
+                assert least <= prefix  # least on every chain, so least as a block
+    assert least_block(GOLDEN, 2, 4, {1: ((1, 1), (2, 1))}) is None  # chain 1 would start with 11
+    assert least_block(GOLDEN, 2, 4) == "0000"
 
 
 # --- serialization ---------------------------------------------------------------
