@@ -160,7 +160,7 @@ def is_admissible(u: Pattern) -> bool:
 def inadmissible_classes(u: Pattern) -> list[int]:
     """Chain representatives whose fiber constraints are unsatisfiable (computed once per pattern)."""
     if u._bad is None:
-        bad = tuple(rep for rep, cons in u.fibers().items() if not shift_core.partial_extendable(u.omega, cons))
+        bad = tuple(rep for rep, cons in u.fibers().items() if not shift_core.offset_table(u.omega, (), cons)[0])
         object.__setattr__(u, "_bad", bad)
     return list(u._bad)
 
@@ -233,16 +233,17 @@ def least_block(omega: ShiftSpec, l: int, length: int, groups=()) -> Optional[st
 
     ``groups`` maps (or lists pairs of) chain representative -> pins.  By
     fiber independence each chain takes the least base-space word under its
-    own pins; chains without pins take the least word outright.
+    own pins.  Chains without pins share one fill, the least word of chain
+    1's length: unconstrained least words agree across lengths, and
+    ``assemble`` reads only as many symbols as a chain has.
     """
     pins = dict(groups)
-    fibers = {}
-    for rep in class_reps(length, l):
-        word = shift_core.least_word(omega, chain_length(rep, length, l), pins.get(rep, ()))
-        if word is None:
-            return None
-        fibers[rep] = word
-    return assemble(fibers, l, length)
+    fill = shift_core.least_word(omega, chain_length(1, length, l))
+    fibers = {
+        rep: shift_core.least_word(omega, chain_length(rep, length, l), pins[rep]) if rep in pins else fill
+        for rep in class_reps(length, l)
+    }
+    return None if None in fibers.values() else assemble(fibers, l, length)
 
 
 @dataclass(frozen=True)
@@ -262,9 +263,6 @@ class MultiplierConstraintSet:
     @property
     def satisfiable_form(self) -> bool:
         return not self.conflicts
-
-    def group_map(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        return dict(self.groups)
 
 
 def multiplier_constraints(u: Pattern, v: Pattern, multiplier: int) -> MultiplierConstraintSet:

@@ -166,6 +166,8 @@ def _cover_fault(omega: ShiftSpec, l: int, u: Pattern, v: Pattern, cert: Witness
     for urep, uw, r, vrep, pad, vw in cover.pairs:
         if len(pad) != r:
             return f"pad {pad!r} does not have length {r}"
+        if not shift_core.word_admissible(omega, pad + vw):
+            return f"pad {pad!r} followed by v's word {vw!r} is not admissible"
         if not all(d <= len(uw) and int(uw[d - 1]) == s for d, s in u_fibers[urep]):
             return f"word {uw!r} does not carry u's fiber on chain {urep}"
         if not all(d <= len(vw) and int(vw[d - 1]) == s for d, s in v_fibers[vrep]):
@@ -196,8 +198,8 @@ class _PairProbe:
       only if j1 / j2 is a power of l, and two base-free j1, j2 then
       coincide.  So a target chain carries at most one v fiber, beside at
       most one (static) u fiber, and its feasibility is a function of the
-      base space alone: F(u fiber, v fiber, offset), tabulated per spec by
-      ``shift_core.offset_table`` and shared by every probe on that spec.
+      base space alone: F(u fiber, v fiber, offset), tabulated per spec in
+      the map ``shift_core.offset_tables`` returns; the engine holds it.
     * Monotonicity.  Adding pins never makes a chain feasible again, so
       the chains that carry only u need checking once per probe (u's
       admissibility), and a query fails outright when one of them fails.
@@ -212,6 +214,7 @@ class _PairProbe:
         self.u_groups = u.fibers()
         self.v_groups = v.fibers()
         self.u_bad = frozenset(mult_shift.inadmissible_classes(u))
+        self.tables = shift_core.offset_tables(omega)
         self._targets: dict[int, list[tuple]] = {}
 
     def _target_layout(self, m: int) -> list[tuple]:
@@ -221,7 +224,7 @@ class _PairProbe:
             layout = []
             for j, cons in self.v_groups.items():
                 target, depth = _split(self.alpha1 * m * j, self.l)
-                table = shift_core.offset_table(self.omega, self.u_groups.get(target, ()), cons)
+                table = self.tables[self.u_groups.get(target, ()), cons]
                 layout.append((target, depth + self.k1, cons, table))
             self._targets[m] = layout
         return layout

@@ -126,11 +126,6 @@ class SpacingSpec:
     def alphabet(self) -> int:
         return 2
 
-    def allows_gap(self, gap: int) -> bool:
-        if gap < 0 or gap > self.horizon:
-            raise HorizonExceeded(f"gap {gap} outside tabulated range [0, {self.horizon}]")
-        return gap not in _ctx(self).complement
-
 
 def spacing(declared_class: str, complement: Iterable[int] = (), horizon: int = DEFAULT_HORIZON) -> SpacingSpec:
     """Build a gap-set spec, sorting the banned-gap list."""
@@ -210,7 +205,6 @@ class DeBruijnGraph:
     def __init__(self, window: int, vertices: Sequence[str], out, pruned: Sequence[str]):
         self.window = window
         self.vertices = tuple(vertices)
-        self.index = {v: i for i, v in enumerate(self.vertices)}
         self.out = tuple(tuple(sorted(edges)) for edges in out)  # per vertex: (symbol, dst)
         self.pruned = tuple(pruned)
         n = len(self.vertices)
@@ -241,12 +235,11 @@ class _Ctx:
         "spec",
         "graph",
         "_blocks",
-        "_extendable",
         "_least",
         "_verdicts",
         "_gamma",
-        "_gap_index",
-        "_offsets",
+        "_gap_checked",
+        "offsets",
         "complement",
     )
 
@@ -255,12 +248,12 @@ class _Ctx:
         self.graph = _build_graph(spec) if isinstance(spec, SftSpec) else None
         self.complement = frozenset(spec.complement) if isinstance(spec, SpacingSpec) else None
         self._blocks: dict[int, frozenset[str]] = {}
-        self._extendable: dict[tuple, bool] = {}
         self._least: dict[tuple, Optional[str]] = {}
         self._verdicts: dict[str, PropertyVerdict] = {}
         self._gamma: Optional[int] = None
-        self._gap_index: dict[int, int] = {}
-        self._offsets: dict[tuple, _OffsetTable] = {}
+        self._gap_checked = 0  # largest word length mixing_gap_index has spot-checked
+        self.offsets = _OffsetTables()  # a single pin set is offset 0 of the table with no static pins
+        self.offsets.ctx = self
 
 
 # specs whose derived structures stay cached; past this, the earliest cached is dropped
@@ -412,31 +405,40 @@ def _constraint_map(constraints: Iterable[tuple[int, int]]) -> dict[int, int]:
 
 
 def partial_extendable(spec: ShiftSpec, constraints: Iterable[tuple[int, int]]) -> bool:
-    """Whether some point of the space satisfies every (position, symbol) pin."""
-    cmap = _constraint_map(constraints)
-    ctx = _ctx(spec)
-    key = tuple(sorted(cmap.items()))
-    hit = ctx._extendable.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(spec, SftSpec):
-        res = _sft_extendable(ctx, cmap)
-    else:
-        res = _spacing_extendable(spec, cmap)
-    ctx._extendable[key] = res
-    return res
+    """Whether some point of the space satisfies every (position, symbol) pin; validated, not cached."""
+    return _extendable(_ctx(spec), _constraint_map(constraints))
+
+
+def _extendable(ctx: _Ctx, cmap: Mapping[int, int]) -> bool:
+    return _sft_extendable(ctx, cmap) if ctx.graph is not None else _spacing_extendable(ctx, cmap)
 
 
 class _OffsetTable(dict):
     """What ``offset_table`` returns: a missing offset is decided on lookup and kept."""
 
-    __slots__ = ("spec", "static", "moving")
+    __slots__ = ("ctx", "static", "moving")
 
     def __missing__(self, offset: int) -> bool:
         pins = dict(self.static)
         ok = all(pins.setdefault(offset + pos, sym) == sym for pos, sym in self.moving)
-        ok = self[offset] = ok and partial_extendable(self.spec, tuple(sorted(pins.items())))
+        ok = self[offset] = ok and _extendable(self.ctx, pins)
         return ok
+
+
+class _OffsetTables(dict):
+    """One spec's offset tables by (static, moving), each built on first lookup: the only pin-set cache."""
+
+    __slots__ = ("ctx",)
+
+    def __missing__(self, key: tuple) -> _OffsetTable:
+        table = self[key] = _OffsetTable()
+        table.ctx, (table.static, table.moving) = self.ctx, key
+        return table
+
+
+def offset_tables(spec: ShiftSpec) -> Mapping[tuple, Mapping[int, bool]]:
+    """The spec's map (static, moving) -> ``offset_table(spec, static, moving)``, for callers serving one spec."""
+    return _ctx(spec).offsets
 
 
 def offset_table(spec: ShiftSpec, static: tuple, moving: tuple) -> Mapping[int, bool]:
@@ -444,12 +446,7 @@ def offset_table(spec: ShiftSpec, static: tuple, moving: tuple) -> Mapping[int, 
 
     False where the two pin one position differently.  Kept per spec and shared by every caller.
     """
-    tables = _ctx(spec)._offsets
-    table = tables.get((static, moving))
-    if table is None:
-        table = tables[static, moving] = _OffsetTable()
-        table.spec, table.static, table.moving = spec, static, moving
-    return table
+    return offset_tables(spec)[static, moving]
 
 
 def _sft_extendable(ctx: _Ctx, cmap: Mapping[int, int]) -> bool:
@@ -513,14 +510,14 @@ def state_orbit(g: DeBruijnGraph, start: int) -> tuple[int, int]:
         seen[cur] = idx
 
 
-def _spacing_extendable(spec: SpacingSpec, cmap: Mapping[int, int]) -> bool:
+def _spacing_extendable(ctx: _Ctx, cmap: Mapping[int, int]) -> bool:
     if not cmap:
         return True
-    if max(cmap) > spec.horizon:
-        raise HorizonExceeded(f"position {max(cmap)} exceeds horizon {spec.horizon}")
+    if max(cmap) > ctx.spec.horizon:
+        raise HorizonExceeded(f"position {max(cmap)} exceeds horizon {ctx.spec.horizon}")
     if any(sym not in (0, 1) for sym in cmap.values()):
         return False
-    comp = _ctx(spec).complement
+    comp = ctx.complement
     ones = sorted(p for p, sym in cmap.items() if sym == 1)
     for a in range(len(ones)):
         for b in range(a + 1, len(ones)):
@@ -531,7 +528,7 @@ def _spacing_extendable(spec: SpacingSpec, cmap: Mapping[int, int]) -> bool:
 
 def word_admissible(spec: ShiftSpec, word: str) -> bool:
     """Whether the word occurs in some point of the space."""
-    return partial_extendable(spec, word_pins(word))
+    return offset_table(spec, (), word_pins(word))[0]
 
 
 def word_pins(word: str) -> tuple[tuple[int, int], ...]:
@@ -553,11 +550,8 @@ def least_word(spec: ShiftSpec, length: int, constraints: Iterable[tuple[int, in
     key = (length, tuple(sorted(cmap.items())))
     if key in ctx._least:
         return ctx._least[key]
-    if isinstance(spec, SftSpec):
-        res = _sft_least_word(ctx, length, cmap)
-    else:
-        res = _spacing_least_word(spec, length, cmap)
-    ctx._least[key] = res
+    least = _sft_least_word if ctx.graph is not None else _spacing_least_word
+    res = ctx._least[key] = least(ctx, length, cmap)
     return res
 
 
@@ -582,8 +576,8 @@ def _sft_least_word(ctx: _Ctx, length: int, cmap: Mapping[int, int]) -> Optional
     return "".join(word)
 
 
-def _spacing_least_word(spec: SpacingSpec, length: int, cmap: Mapping[int, int]) -> Optional[str]:
-    if not _spacing_extendable(spec, cmap):
+def _spacing_least_word(ctx: _Ctx, length: int, cmap: Mapping[int, int]) -> Optional[str]:
+    if not _spacing_extendable(ctx, cmap):
         return None
     return "".join(str(cmap.get(p, 0)) for p in range(1, length + 1))
 
@@ -759,7 +753,9 @@ def mixing_gap_index(spec: ShiftSpec, max_word_len: int) -> int:
 
     Not necessarily minimal.  Finite-type: the primitivity exponent of the
     pruned window graph.  Cofinite gap-set: one past the largest banned
-    gap.  Soundness is spot-checked over gaps in [N, N + 10].
+    gap.  Soundness is spot-checked over gaps in [N, N + 10]; N does not
+    depend on ``max_word_len``, so a length no longer than one already
+    checked is not checked again.
     """
     if max_word_len < 1:
         raise ValueError("max_word_len must be >= 1")
@@ -767,13 +763,12 @@ def mixing_gap_index(spec: ShiftSpec, max_word_len: int) -> int:
     if not verdict.value:
         raise PreconditionFailed(f"space is not mixing: {verdict.evidence}")
     ctx = _ctx(spec)
-    hit = ctx._gap_index.get(max_word_len)
-    if hit is not None:
-        return hit
     if isinstance(spec, SftSpec):
         n = _primitivity_exponent(ctx)
     else:
         n = max(spec.complement, default=0) + 1
+    if max_word_len <= ctx._gap_checked:
+        return n
     words = sorted(w for t in range(1, max_word_len + 1) for w in blocks(spec, t))
     for u in words:
         for v in words:
@@ -784,5 +779,5 @@ def mixing_gap_index(spec: ShiftSpec, max_word_len: int) -> int:
                     raise AssertionError(
                         f"gap index {n} failed soundness check at (u={u}, v={v}, m={m})"
                     )
-    ctx._gap_index[max_word_len] = n
+    ctx._gap_checked = max_word_len
     return n

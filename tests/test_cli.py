@@ -242,13 +242,17 @@ def _tamper_cover(cover, how):
         cover["pairs"] = cover["pairs"][1:]
     elif how == "pad_length":
         cover["pairs"][-1][4] += "0"
+    elif how == "pad_symbol":  # right length, but the pad runs into v's word "10" as a forbidden "11"
+        pair = next(p for p in cover["pairs"] if p[2] >= 1)
+        pair[4] = "1" * pair[2]
     elif how == "v_word":  # first symbol flipped, so the word no longer carries v's fiber
         word = cover["pairs"][0][5]
         cover["pairs"][0][5] = ("1" if word[0] == "0" else "0") + word[1:]
 
 
 @pytest.mark.parametrize(
-    "how", ["offset_and_words", "common_offset", "offset_bound", "pair_dropped", "pad_length", "v_word"]
+    "how",
+    ["offset_and_words", "common_offset", "offset_bound", "pair_dropped", "pad_length", "pad_symbol", "v_word"],
 )
 def test_verify_rejects_tampered_cover(capsys, golden_spec, tmp_path, how):
     payload = _directional_cert(capsys, golden_spec)

@@ -169,11 +169,11 @@ def test_multiplier_constraints_grouping():
     u = Pattern.block("00", 2, GOLDEN)
     v = Pattern.block("1", 2, GOLDEN)
     mcs = multiplier_constraints(u, v, 8)
-    assert mcs.group_map() == {1: ((1, 0), (2, 0), (4, 1))}
+    assert dict(mcs.groups) == {1: ((1, 0), (2, 0), (4, 1))}
     assert mcs.satisfiable_form
     # coincident positions with equal symbols collapse; unequal conflict
     same = multiplier_constraints(Pattern.block("0", 2, GOLDEN), Pattern.block("0", 2, GOLDEN), 1)
-    assert same.satisfiable_form and same.group_map() == {1: ((1, 0),)}
+    assert same.satisfiable_form and dict(same.groups) == {1: ((1, 0),)}
     clash = multiplier_constraints(Pattern.block("0", 2, GOLDEN), Pattern.block("1", 2, GOLDEN), 1)
     assert clash.conflicts == ((1, 0, 1),)
 

@@ -51,8 +51,8 @@ def test_graph_ramp():
     g = build_graph(RAMP)
     assert g.vertices == ("0", "1")
     # edges 00, 10, 11: nothing enters 1 from 0
-    assert [s for s, _ in g.out[g.index["0"]]] == [0]
-    assert sorted(s for s, _ in g.out[g.index["1"]]) == [0, 1]
+    assert [s for s, _ in g.out[g.vertices.index("0")]] == [0]
+    assert sorted(s for s, _ in g.out[g.vertices.index("1")]) == [0, 1]
 
 
 def test_graph_everything_forbidden():
@@ -295,6 +295,29 @@ def test_mixing_gap_index_pinned():
 def test_mixing_gap_index_requires_mixing():
     with pytest.raises(PreconditionFailed):
         mixing_gap_index(ALT, 2)
+
+
+def test_mixing_gap_index_skips_lengths_already_checked(monkeypatch):
+    # the index does not depend on the word length, so a shorter request after a longer one
+    # returns it without spot-checking a pair again
+    from multishift import shift_core
+
+    calls = []
+
+    def counting(spec, constraints):
+        calls.append(constraints)
+        return partial_extendable(spec, constraints)
+
+    monkeypatch.setattr(shift_core, "partial_extendable", counting)
+    spec = sft(2, ["0000", "111"])  # used by no other test, so nothing is checked yet
+    n = mixing_gap_index(spec, 3)
+    assert calls
+    assert mixing_gap_index(spec, 4) == n
+    assert len(blocks(spec, 4)) ** 2 * 11 <= len(calls)  # a longer request checks its own pairs
+    calls.clear()
+    assert mixing_gap_index(spec, 2) == n
+    assert mixing_gap_index(spec, 4) == n
+    assert calls == []
 
 
 def test_mixing_gap_index_sound_beyond_check_window():
