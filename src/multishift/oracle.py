@@ -95,7 +95,8 @@ def exists_witness_exact(
     Returns a self-checked certificate when a witness exists, None when
     provably none does.  Exactness rests on fiber independence: the
     merged constraints decompose over chains, and each chain is decided
-    by base-space reachability.
+    by base-space reachability.  The pair engine decides first, so a
+    prefix is built only for a yes.
     """
     if alpha % l == 0:
         raise ValueError(f"alpha {alpha} is divisible by the base {l}")
@@ -103,8 +104,9 @@ def exists_witness_exact(
         raise ValueError("k must be nonnegative")
     mult_shift.require_admissible(u, "u")
     mult_shift.require_admissible(v, "v")
-    multiplier = u.length * alpha * l**k
-    return try_certificate(omega, l, u, v, alpha, k, multiplier, "oracle_search")
+    if not _PairProbe(omega, l, u, v).decide(alpha, k):
+        return None
+    return try_certificate(omega, l, u, v, alpha, k, u.length * alpha * l**k, "oracle_search")
 
 
 def verify_certificate(omega: ShiftSpec, l: int, cert: WitnessCertificate) -> tuple[bool, str]:
@@ -759,7 +761,7 @@ def _check_directional(row, spec, l, budget, pats, probes) -> None:
 def _check_mixing(row, spec, l, budget, pats, probes) -> None:
     mixing = row.omega_verdicts["mixing"]
     if mixing:
-        threshold = shift_core.mixing_gap_index(spec, budget.pair_length_bound)
+        threshold = shift_core.mixing_gap_index(spec)
         window = [
             (alpha, k)
             for alpha in a_set(l, budget.alpha_bound)
@@ -791,8 +793,7 @@ def _check_mixing(row, spec, l, budget, pats, probes) -> None:
             mw = witness_mod.witness_mixing(spec, l, u, v)
             picks = [window[0], window[len(window) // 2], window[-1]]
             for alpha, k in picks:
-                if alpha * l**k >= l**mw.threshold:
-                    _record_cert(row, spec, l, mw.build(alpha, k), "mixing")
+                _record_cert(row, spec, l, mw.build(alpha, k), "mixing")
         row.checks["mixing"] = "pass"
         return
     # predicted not mixing: some pair must fail at arbitrarily large multipliers.  That is the

@@ -238,7 +238,6 @@ class _Ctx:
         "_least",
         "_verdicts",
         "_gamma",
-        "_gap_checked",
         "offsets",
         "complement",
     )
@@ -251,7 +250,6 @@ class _Ctx:
         self._least: dict[tuple, Optional[str]] = {}
         self._verdicts: dict[str, PropertyVerdict] = {}
         self._gamma: Optional[int] = None
-        self._gap_checked = 0  # largest word length mixing_gap_index has spot-checked
         self.offsets = _OffsetTables()  # a single pin set is offset 0 of the table with no static pins
         self.offsets.ctx = self
 
@@ -748,36 +746,16 @@ def simultaneous_connector(
     return min(common) if common else None
 
 
-def mixing_gap_index(spec: ShiftSpec, max_word_len: int) -> int:
-    """A gap index N: every word pair of length <= max_word_len connects at every gap m >= N.
+def mixing_gap_index(spec: ShiftSpec) -> int:
+    """A gap index N: every pair of admissible words connects at every gap m >= N.
 
     Not necessarily minimal.  Finite-type: the primitivity exponent of the
-    pruned window graph.  Cofinite gap-set: one past the largest banned
-    gap.  Soundness is spot-checked over gaps in [N, N + 10]; N does not
-    depend on ``max_word_len``, so a length no longer than one already
-    checked is not checked again.
+    pruned window graph (Lind & Marcus 1995).  Cofinite gap-set: one past
+    the largest banned gap.
     """
-    if max_word_len < 1:
-        raise ValueError("max_word_len must be >= 1")
     verdict = decide(spec, "mixing")
     if not verdict.value:
         raise PreconditionFailed(f"space is not mixing: {verdict.evidence}")
-    ctx = _ctx(spec)
     if isinstance(spec, SftSpec):
-        n = _primitivity_exponent(ctx)
-    else:
-        n = max(spec.complement, default=0) + 1
-    if max_word_len <= ctx._gap_checked:
-        return n
-    words = sorted(w for t in range(1, max_word_len + 1) for w in blocks(spec, t))
-    for u in words:
-        for v in words:
-            for m in range(n, n + 11):
-                cons = [(i + 1, int(c)) for i, c in enumerate(u)]
-                cons += [(len(u) + m + 1 + i, int(c)) for i, c in enumerate(v)]
-                if not partial_extendable(spec, cons):
-                    raise AssertionError(
-                        f"gap index {n} failed soundness check at (u={u}, v={v}, m={m})"
-                    )
-    ctx._gap_checked = max_word_len
-    return n
+        return _primitivity_exponent(_ctx(spec))
+    return max(spec.complement, default=0) + 1

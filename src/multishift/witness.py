@@ -138,12 +138,15 @@ def try_certificate(
     construction: str,
     directional_base: Optional[int] = None,
     cover: Optional[ConnectorCover] = None,
-) -> Optional[WitnessCertificate]:
-    """Build and self-check a certificate, or report unsatisfiability as None."""
+) -> WitnessCertificate:
+    """Build and self-check a certificate for a multiplier the caller knows connects u to v.
+
+    Raises AssertionError when no admissible prefix meets the constraints.
+    """
     mcs = multiplier_constraints(u, v, multiplier)
     prefix = _solve_prefix(omega, l, mcs)
     if prefix is None:
-        return None
+        raise AssertionError(f"{construction} construction failed at alpha={alpha}, k={k}")
     cert = WitnessCertificate(
         alpha=alpha,
         k=k,
@@ -206,10 +209,7 @@ def witness_transitive(omega: ShiftSpec, l: int, u: Pattern, v: Pattern, k: int)
     require_admissible(v, "v")
     alpha = next_prime_avoiding(xi(u.length, l), _prime_factors(l))
     multiplier = u.length * alpha * l**k
-    cert = try_certificate(omega, l, u, v, alpha, k, multiplier, "transitive_prime_alpha")
-    if cert is None:
-        raise AssertionError("prime-step construction failed on an extensible base space")
-    return cert
+    return try_certificate(omega, l, u, v, alpha, k, multiplier, "transitive_prime_alpha")
 
 
 def witness_directional_coprime(
@@ -245,12 +245,9 @@ def witness_directional_coprime(
         if alpha % modulus == 0:
             raise ValueError(f"alpha {alpha} is divisible by the modulus {modulus}")
         multiplier = u.length * alpha * modulus**k
-        cert = try_certificate(
+        return try_certificate(
             omega, l, u, v, alpha, k, multiplier, "directional_coprime", directional_base=modulus
         )
-        if cert is None:
-            raise AssertionError("coprime-prime construction failed on an extensible base space")
-        return cert
 
     return k, build
 
@@ -336,32 +333,25 @@ def witness_directional_power(
     certs = []
     for alpha in a_set(q, alpha_bound):
         multiplier = u.length * alpha * q**k
-        cert = try_certificate(
-            omega, l, u, v, alpha, k, multiplier, "directional_power", directional_base=q, cover=cover
+        certs.append(
+            try_certificate(omega, l, u, v, alpha, k, multiplier, "directional_power", directional_base=q, cover=cover)
         )
-        if cert is None:
-            raise AssertionError(f"covered construction failed at alpha={alpha}")
-        certs.append(cert)
     return DirectionalWitness(q=q, k=k, certificates=tuple(certs), cover=cover)
 
 
 def witness_mixing(omega: ShiftSpec, l: int, u: Pattern, v: Pattern) -> MixingWitness:
     """Threshold N and a constructor for every multiplier alpha * l**k >= l**N.
 
-    N is the mixing gap index of the base space at the fiber-word lengths
-    of u and v; past the threshold every chain collision leaves enough
-    depth gap for the base space's uniform connections.
+    N is the mixing gap index of the base space; past the threshold every
+    chain collision leaves enough depth gap for the base space's uniform
+    connections.
     """
     verdict = decide(omega, "mixing")
     if not verdict.value:
         raise PreconditionFailed(f"base space is not mixing: {verdict.evidence}")
     require_admissible(u, "u")
     require_admissible(v, "v")
-    max_len = 1
-    for pat in (u, v):
-        for cons in pat.fibers().values():
-            max_len = max(max_len, max(d for d, _ in cons))
-    threshold = mixing_gap_index(omega, max_len)
+    threshold = mixing_gap_index(omega)
 
     def build(alpha: int, k: int) -> WitnessCertificate:
         if alpha % l == 0:
@@ -369,10 +359,7 @@ def witness_mixing(omega: ShiftSpec, l: int, u: Pattern, v: Pattern) -> MixingWi
         if alpha * l**k < l**threshold:
             raise ValueError(f"alpha * l**k = {alpha * l ** k} is below the threshold {l ** threshold}")
         multiplier = u.length * alpha * l**k
-        cert = try_certificate(omega, l, u, v, alpha, k, multiplier, "mixing_threshold")
-        if cert is None:
-            raise AssertionError(f"threshold construction failed at alpha={alpha}, k={k}")
-        return cert
+        return try_certificate(omega, l, u, v, alpha, k, multiplier, "mixing_threshold")
 
     return MixingWitness(threshold=threshold, build=build)
 

@@ -1,4 +1,5 @@
-"""The benchmark's view of the program: every function it traces must exist.
+"""The benchmark's view of the program: every function it traces must exist,
+and a certify round runs without a failed op or a check error.
 
 ``bench/tracer.py`` wraps the functions listed in its ``TARGETS`` when a
 traced round starts; a renamed or deleted one would kill that round
@@ -8,6 +9,7 @@ installing the tracer, so such a rename fails the test suite instead.
 
 import importlib
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -28,3 +30,19 @@ def test_traced_target_resolves(module, path):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_certify_round_runs_clean(tmp_path, monkeypatch):
+    # a seed-1 certify round in process, as bench/round.py runs it: inputs through JSON, every op,
+    # then the reference check that reads each witness output
+    monkeypatch.syspath_prepend(str(TRACER.parent))
+    workloads = importlib.import_module("workloads")
+    inputs = json.loads(json.dumps(workloads.INPUTS["certify"](1)))
+    outputs, failures = [], []
+    for op in workloads.PREPARE["certify"](inputs, str(tmp_path)):
+        text, failure, _ = op.run()
+        outputs.append((op.name, None if failure else text))
+        if failure:
+            failures.append(f"{op.name}: {failure}")
+    assert failures == []
+    assert workloads.CHECK["certify"](inputs, outputs) == []

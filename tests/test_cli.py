@@ -111,6 +111,17 @@ def test_witness_mixing_threshold_only(capsys, golden_spec):
     assert json.loads(out)["threshold"] <= 2
 
 
+def test_witness_exact_negative_at_depth(capsys, tmp_path):
+    path = tmp_path / "alt.json"
+    path.write_text(json.dumps({"kind": "sft", "alphabet": 2, "forbidden": ["00", "11"]}))
+    code, out, _ = run(
+        capsys, "witness", "--spec", str(path), "--l", "2",
+        "--u", "block:0110", "--v", "block:1011", "--mode", "exact", "--alpha", "1", "--k", "60",
+    )
+    assert code == 1
+    assert json.loads(out) == {"witness": None}
+
+
 def test_witness_inadmissible_exit_code(capsys, golden_spec):
     code, _, err = run(
         capsys, "witness", "--spec", golden_spec, "--l", "2",

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -35,6 +36,13 @@ def test_exists_witness_pinned_negative():
     # alternating base space: depth parity needed by the two chains conflicts
     assert exists_witness_exact(ALT, 2, block("0110", 2, ALT), block("1011", 2, ALT), 1, 2) is None
     assert exists_witness_exact(RAMP, 2, block("00", 2, RAMP), block("1", 2, RAMP), 1, 3) is None
+
+
+def test_exists_witness_negative_at_depth_is_decided_without_a_prefix():
+    # the pair engine answers; listing the chains of a 60-level prefix would not fit in memory
+    t0 = time.perf_counter()
+    assert exists_witness_exact(ALT, 2, block("0110", 2, ALT), block("1011", 2, ALT), 1, 60) is None
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_exists_witness_pinned_positive():

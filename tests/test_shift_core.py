@@ -6,6 +6,7 @@ import pytest
 
 from brute import brute_connector_gaps, brute_extendable, brute_graph_structure, language
 from multishift.errors import HorizonExceeded, InadmissiblePattern, PreconditionFailed, SpecError, UndecidableProperty
+from multishift.oracle import binary_sft_family, random_sft_family
 from multishift.shift_core import (
     PROPERTIES,
     blocks,
@@ -287,48 +288,36 @@ def test_simultaneous_connector():
 
 
 def test_mixing_gap_index_pinned():
-    assert mixing_gap_index(GOLDEN, 1) == 2
-    assert mixing_gap_index(spacing("cofinite", [1, 2]), 8) == 3
-    assert mixing_gap_index(FULL, 4) == 1
+    assert mixing_gap_index(GOLDEN) == 2
+    assert mixing_gap_index(spacing("cofinite", [1, 2])) == 3
+    assert mixing_gap_index(FULL) == 1
+    assert mixing_gap_index(sft(2, ["11", "101"])) == 4
 
 
 def test_mixing_gap_index_requires_mixing():
     with pytest.raises(PreconditionFailed):
-        mixing_gap_index(ALT, 2)
+        mixing_gap_index(ALT)
 
 
-def test_mixing_gap_index_skips_lengths_already_checked(monkeypatch):
-    # the index does not depend on the word length, so a shorter request after a longer one
-    # returns it without spot-checking a pair again
-    from multishift import shift_core
-
-    calls = []
-
-    def counting(spec, constraints):
-        calls.append(constraints)
-        return partial_extendable(spec, constraints)
-
-    monkeypatch.setattr(shift_core, "partial_extendable", counting)
-    spec = sft(2, ["0000", "111"])  # used by no other test, so nothing is checked yet
-    n = mixing_gap_index(spec, 3)
-    assert calls
-    assert mixing_gap_index(spec, 4) == n
-    assert len(blocks(spec, 4)) ** 2 * 11 <= len(calls)  # a longer request checks its own pairs
-    calls.clear()
-    assert mixing_gap_index(spec, 2) == n
-    assert mixing_gap_index(spec, 4) == n
-    assert calls == []
+def _gap_index_family():
+    family = binary_sft_family(2) + random_sft_family(40, seed=7) + random_sft_family(6, seed=7, alphabet=3)
+    family.append(sft(2, ["11", "101"]))  # "1" and "1" do not connect at gap 1: the index is past it
+    family += [spacing("cofinite", c) for c in ((), (1,), (2,), (1, 2), (3,), (1, 4), (2, 3, 5))]
+    return [spec for spec in family if decide(spec, "mixing").value]
 
 
-def test_mixing_gap_index_sound_beyond_check_window():
-    n = mixing_gap_index(GOLDEN, 4)
-    words = [w for t in (1, 2, 3, 4) for w in blocks(GOLDEN, t)]
-    for u in words:
-        for v in words:
-            for m in range(n, n + 14):
-                cons = [(i + 1, int(c)) for i, c in enumerate(u)]
-                cons += [(len(u) + m + 1 + i, int(c)) for i, c in enumerate(v)]
-                assert partial_extendable(GOLDEN, cons)
+def test_mixing_gap_index_connects_every_word_pair():
+    # the index is proved, not checked at run time: every admissible word pair up to length 3
+    # connects at every gap in [N, N + 10], by the validated decider that brute.py pins
+    for spec in _gap_index_family():
+        n = mixing_gap_index(spec)
+        words = [w for t in (1, 2, 3) for w in blocks(spec, t)]
+        for u in words:
+            for v in words:
+                for m in range(n, n + 11):
+                    cons = [(i + 1, int(c)) for i, c in enumerate(u)]
+                    cons += [(len(u) + m + 1 + i, int(c)) for i, c in enumerate(v)]
+                    assert partial_extendable(spec, cons), (spec, u, v, m)
 
 
 # --- least completions --------------------------------------------------------
