@@ -108,7 +108,8 @@ def cmd_witness(args) -> int:
             return 0
         certs = [mw.build(args.alpha, args.k)]
     else:  # exact oracle search at a pinned (alpha, k)
-        cert = oracle.exists_witness_exact(spec, args.l, u, v, args.alpha or 1, args.k)
+        alpha = 1 if args.alpha is None else args.alpha
+        cert = oracle.exists_witness_exact(spec, args.l, u, v, alpha, args.k)
         if cert is None:
             _emit({"witness": None})
             return 1

@@ -98,6 +98,8 @@ def exists_witness_exact(
     by base-space reachability.  The pair engine decides first, so a
     prefix is built only for a yes.
     """
+    if alpha < 1:
+        raise ValueError(f"expected a positive integer, got {alpha!r}")
     if alpha % l == 0:
         raise ValueError(f"alpha {alpha} is divisible by the base {l}")
     if k < 0:
@@ -263,24 +265,19 @@ def _forall_k_proof(probe: _PairProbe, alpha: int, n: int) -> Optional[dict]:
     omega = probe.omega
     if not isinstance(omega, SftSpec):
         return None
-    g = shift_core.build_graph(omega)
-    if not g.vertices:
-        return None
     k_star = 0
     periods = []
     for target, base, cons, _ in probe._target_layout(alpha):
-        static = dict(probe.u_groups.get(target, ()))
-        static_max = max(list(static) + [g.window])
+        # the orbit the chain's offset table reads past the static pins, from S(P0) at P0 = orbit.origin
+        orbit = shift_core.static_orbit(omega, probe.u_groups.get(target, ()))
+        if not orbit.states[0]:
+            return None  # static side already unsatisfiable (or no windows): caller's problem
         d_min = min(d for d, _ in cons)
-        start = shift_core.states_after(g, static, static_max)
-        if not start:
-            return None  # static side already unsatisfiable: caller's problem
-        preperiod, period = shift_core.state_orbit(g, start)
         # least k with the dynamic block strictly past the static part and the orbit settled
-        need = static_max + preperiod + 1
+        need = orbit.origin + orbit.preperiod + 1
         k_min = max(0, -((base + d_min - need) // n))
         k_star = max(k_star, k_min)
-        periods.append(period // math.gcd(n, period))
+        periods.append(orbit.period // math.gcd(n, orbit.period))
     if not periods:
         return None
     cycle = math.lcm(*periods)

@@ -239,6 +239,8 @@ class _Ctx:
         "_verdicts",
         "_gamma",
         "offsets",
+        "orbits",
+        "tails",
         "complement",
     )
 
@@ -252,6 +254,8 @@ class _Ctx:
         self._gamma: Optional[int] = None
         self.offsets = _OffsetTables()  # a single pin set is offset 0 of the table with no static pins
         self.offsets.ctx = self
+        self.orbits: dict[tuple, _Orbit] = {}  # per static pin tuple: the orbit past the static pins
+        self.tails: dict[tuple, bool] = {}  # per (state set, moving pins): whether a walk from the set fits them
 
 
 # specs whose derived structures stay cached; past this, the earliest cached is dropped
@@ -412,14 +416,30 @@ def _extendable(ctx: _Ctx, cmap: Mapping[int, int]) -> bool:
 
 
 class _OffsetTable(dict):
-    """What ``offset_table`` returns: a missing offset is decided on lookup and kept."""
+    """What ``offset_table`` returns: a missing offset is decided on lookup and kept.
 
-    __slots__ = ("ctx", "static", "moving")
+    On a finite-type space, an offset that puts every moving pin past
+    P0 = max(window, static depths) is decided from the state set S(P)
+    of the static-only walk at P = offset + first moving depth - 1 (the
+    static pins' orbit, read by residue) and one walk from S(P) through
+    the moving pins at their relative places (memoized per spec).  That
+    walk is exactly the tail of the direct one, which is unconstrained
+    from P0 + 1 to P.  Other offsets, and gap-set spaces, walk directly.
+    """
+
+    __slots__ = ("ctx", "static", "moving", "first")
 
     def __missing__(self, offset: int) -> bool:
+        ctx = self.ctx
+        if ctx.graph is not None and self.moving:
+            orbit = _static_orbit(ctx, self.static)
+            step = offset + self.first - 1 - orbit.origin
+            if step >= 0:
+                ok = self[offset] = _tail_fits(ctx, orbit.at(step), self.moving)
+                return ok
         pins = dict(self.static)
         ok = all(pins.setdefault(offset + pos, sym) == sym for pos, sym in self.moving)
-        ok = self[offset] = ok and _extendable(self.ctx, pins)
+        ok = self[offset] = ok and _extendable(ctx, pins)
         return ok
 
 
@@ -431,6 +451,7 @@ class _OffsetTables(dict):
     def __missing__(self, key: tuple) -> _OffsetTable:
         table = self[key] = _OffsetTable()
         table.ctx, (table.static, table.moving) = self.ctx, key
+        table.first = min((pos for pos, _ in table.moving), default=0)
         return table
 
 
@@ -495,17 +516,65 @@ def states_after(g: DeBruijnGraph, cmap: Mapping[int, int], through: int) -> int
     return states
 
 
-def state_orbit(g: DeBruijnGraph, start: int) -> tuple[int, int]:
-    """Preperiod and period of the unconstrained-step orbit of a state set."""
-    seen = {start: 0}
-    cur = start
-    idx = 0
-    while True:
-        cur = _advance(g.succ, cur)
-        idx += 1
-        if cur in seen:
-            return seen[cur], idx - seen[cur]
-        seen[cur] = idx
+class _Orbit:
+    """The unconstrained-step orbit of a state set, kept up to its first repeat.
+
+    ``states[i]`` is the set i steps on; the list holds preperiod + period
+    sets, and ``at(i)`` reads any later step by its residue.  ``origin``
+    is the end position of ``states[0]`` in the walk it continues.
+    """
+
+    __slots__ = ("origin", "states", "preperiod", "period")
+
+    def __init__(self, g: DeBruijnGraph, start: int, origin: int = 0):
+        seen: dict[int, int] = {}
+        states = self.states = []
+        while start not in seen:
+            seen[start] = len(states)
+            states.append(start)
+            start = _advance(g.succ, start)
+        self.origin = origin
+        self.preperiod = seen[start]
+        self.period = len(states) - self.preperiod
+
+    def at(self, step: int) -> int:
+        if step >= len(self.states):
+            step = self.preperiod + (step - self.preperiod) % self.period
+        return self.states[step]
+
+
+def static_orbit(spec: ShiftSpec, static: tuple) -> _Orbit:
+    """The orbit of S(P0), a finite-type walk's state set after the ``static`` (depth, symbol) pins.
+
+    P0 = max(window, static depths) is its ``origin``.  Kept per spec, beside the offset tables.
+    """
+    return _static_orbit(_ctx(spec), static)
+
+
+def _static_orbit(ctx: _Ctx, static: tuple) -> _Orbit:
+    orbit = ctx.orbits.get(static)
+    if orbit is None:
+        g, pins = ctx.graph, dict(static)
+        origin = max([g.window, *pins])
+        orbit = ctx.orbits[static] = _Orbit(g, states_after(g, pins, origin), origin)
+    return orbit
+
+
+def _tail_fits(ctx: _Ctx, states: int, moving: tuple) -> bool:
+    """Whether a walk from ``states`` (at the position before the first moving depth) fits the moving pins."""
+    key = states, moving
+    ok = ctx.tails.get(key)
+    if ok is None:
+        pins: dict[int, int] = {}
+        if any(pins.setdefault(pos, sym) != sym for pos, sym in moving):
+            states = 0
+        g = ctx.graph
+        for t in range(min(pins), max(pins) + 1):
+            if not states:
+                break
+            states = _advance(g.succ, states, pins.get(t))
+        ok = ctx.tails[key] = bool(states)
+    return ok
 
 
 def _spacing_extendable(ctx: _Ctx, cmap: Mapping[int, int]) -> bool:
@@ -618,7 +687,7 @@ def _dead_windows(g: DeBruijnGraph) -> list[str]:
 
 def _period(g: DeBruijnGraph) -> int:
     """Cycle-length gcd of a strongly connected graph: the period of one vertex's orbit."""
-    return state_orbit(g, 1)[1]
+    return _Orbit(g, 1).period
 
 
 def _primitivity_exponent(ctx: _Ctx) -> int:

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -120,6 +124,31 @@ def test_witness_exact_negative_at_depth(capsys, tmp_path):
     )
     assert code == 1
     assert json.loads(out) == {"witness": None}
+
+
+@pytest.mark.parametrize("alpha", ["0", "-3"])
+def test_witness_exact_rejects_a_nonpositive_alpha(capsys, golden_spec, alpha):
+    code, out, err = run(
+        capsys, "witness", "--spec", golden_spec, "--l", "2",
+        "--u", "block:0", "--v", "block:0", "--mode", "exact", "--alpha", alpha, "--k", "1",
+    )
+    assert (code, out) == (2, "")
+    assert f"expected a positive integer, got {alpha}" in err
+
+
+def test_witness_exact_alpha_defaults_to_one(capsys, golden_spec):
+    code, out, _ = run(
+        capsys, "witness", "--spec", golden_spec, "--l", "2",
+        "--u", "block:0", "--v", "block:0", "--mode", "exact", "--k", "1",
+    )
+    assert code == 0 and json.loads(out)["certificate"]["alpha"] == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "multishift", "--help"], capture_output=True, text=True, env=env)
+    assert done.returncode == 0 and done.stdout.startswith("usage: multishift")
 
 
 def test_witness_inadmissible_exit_code(capsys, golden_spec):

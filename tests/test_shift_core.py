@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import time
@@ -16,14 +17,17 @@ from multishift.shift_core import (
     graph_dot,
     least_word,
     mixing_gap_index,
+    offset_table,
     partial_extendable,
     sft,
     simultaneous_connector,
     spacing,
     spec_from_dict,
     spec_to_dict,
+    static_orbit,
     word_admissible,
 )
+from multishift import shift_core
 
 GOLDEN = sft(2, ["11"])
 RAMP = sft(2, ["01"])  # once a 0 appears, no later 1
@@ -146,6 +150,78 @@ def test_spacing_extendable():
     assert partial_extendable(sp, [(1, 1), (3, 1)]) is False
     with pytest.raises(HorizonExceeded):
         partial_extendable(spacing("cofinite", [1], horizon=10), [(11, 1)])
+
+
+# --- offset tables -------------------------------------------------------------
+
+
+def _random_pins(rng, alphabet, count, top):
+    return tuple(sorted((p, rng.randrange(alphabet)) for p in rng.sample(range(1, top + 1), count)))
+
+
+def test_offset_tables_match_direct_walk():
+    # past the static pins a table reads the static orbit by residue and a memoized tail walk;
+    # every offset through two periods past the orbit list must agree with the direct decider
+    rng = random.Random(16)
+    checked = fast = clashes = periodic = 0
+    for _ in range(80):
+        alphabet = rng.randint(2, 4)
+        symbols = "0123456789"[:alphabet]
+        words = ["".join(rng.choices(symbols, k=3)) for _ in range(rng.randint(0, 2))]
+        if rng.random() < 0.5:  # mostly one successor per symbol: periodic and transient window graphs
+            for a in symbols:
+                keep = rng.sample(symbols, rng.choice((1, 1, 2)))
+                words += [a + b for b in symbols if b not in keep]
+        else:
+            words += ["".join(rng.choices(symbols, k=2)) for _ in range(rng.randint(1, alphabet))]
+        spec = sft(alphabet, words)
+        for _ in range(6):  # several tables per spec share its tail memo
+            static = _random_pins(rng, alphabet, rng.randint(0, 3), 6)
+            moving = _random_pins(rng, alphabet, rng.randint(1, 3), 5)
+            orbit = static_orbit(spec, static)
+            periodic += orbit.period > 1
+            table = offset_table(spec, static, moving)
+            pinned = dict(static)
+            for r in range(orbit.origin + orbit.preperiod + 3 * orbit.period + 1):
+                shifted = [(p + r, sym) for p, sym in moving]
+                if any(pinned.get(p, sym) != sym for p, sym in shifted):
+                    expected = False
+                    clashes += 1
+                else:
+                    expected = partial_extendable(spec, static + tuple(shifted))
+                assert table[r] == expected, (spec, static, moving, r)
+                checked += 1
+                fast += r + moving[0][0] > orbit.origin
+    assert clashes and periodic and fast > checked // 2
+
+
+def test_offset_table_caches_do_not_grow_with_the_offset():
+    # 2 -> 0 and 0 <-> 1 only: from a 2 at position 1 the walk is 2, 0, 1, 0, 1, ...
+    spec = sft(3, ["00", "02", "11", "12", "21", "22"])
+    static, moving = ((1, 2),), ((1, 1), (2, 0))  # a 1 then a 0 at r + 1, r + 2: odd r + 1 >= 3
+    table = offset_table(spec, static, moving)
+    orbit = static_orbit(spec, static)
+    assert (orbit.origin, orbit.preperiod, orbit.period) == (1, 1, 2)
+    assert table[10**6] is True and table[2] is True  # both read orbit step 1 (10**6 by its residue)
+    assert len(orbit.states) == orbit.preperiod + orbit.period
+    del table  # a table holds its spec's context
+    # the caches live on the spec's context, so the 64-spec bound drops them with it
+    assert shift_core._ctx(spec).orbits[static] is orbit and shift_core._ctx(spec).tails
+    for gap in range(1, shift_core._CACHED_SPECS + 1):
+        shift_core._ctx(spacing("cofinite", [gap], horizon=10**6 + gap))
+    assert spec not in shift_core._CONTEXTS
+    gc.collect()
+    assert [ref for ref in gc.get_referrers(orbit) if isinstance(ref, dict)] == []
+    fresh = shift_core._ctx(spec)
+    assert fresh.orbits == {} and fresh.tails == {}
+
+
+def test_offset_tables_on_gap_sets_keep_the_direct_check():
+    sp = spacing("cofinite", [1, 2], horizon=20)
+    table = offset_table(sp, ((1, 1),), ((1, 1),))
+    assert [table[r] for r in range(4)] == [True, False, False, True]
+    with pytest.raises(HorizonExceeded):
+        table[20]
 
 
 # --- deciders ----------------------------------------------------------------
