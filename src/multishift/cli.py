@@ -3,18 +3,20 @@
 Subcommands: props, blocks, admissible, witness, verify, probe, campaign,
 dim, graph, decompose, offset-bound.  Specs are JSON files; patterns use
 the literal forms "block:1100" and "l=2;support=1,2,4;values=1,1,0".
-Exit codes: 0 success, 1 property or verification failure, 2 usage error.
+Exit codes: 0 success, 1 property or verification failure, 2 usage error
+or an output past its cap.
 Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import dimension, mult_shift, oracle, shift_core, witness as witness_mod
-from .errors import MultishiftError, SpecError, UndecidableProperty
+from .errors import MultishiftError, OutputGuardExceeded, SpecError, UndecidableProperty
 from .lambda_arith import decompose, offset_bound
 from .shift_core import PROPERTIES, sft, spec_from_dict, spec_to_dict
 
@@ -233,6 +235,7 @@ def cmd_offset_bound(args) -> int:
     return 0
 
 
+@functools.cache  # parsing does not change the parser, so one build serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="multishift", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -319,7 +322,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SpecError as exc:
+    except (SpecError, OutputGuardExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MultishiftError as exc:

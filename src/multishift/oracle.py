@@ -356,11 +356,11 @@ def _directional(probe: _PairProbe, q: int, budget: SearchBudget) -> tuple:
         failures.append((k, bad))
     proof = None
     if a_q == 1:  # the all-k proof needs a power modulus
-        always_failing = [a for a in alphas if all(not probe.decide(a, n * k) for k in range(budget.k_bound + 1))]
-        for alpha in always_failing:
-            proof = _forall_k_proof(probe, alpha, n)
-            if proof is not None:
-                break
+        for alpha in alphas:  # one alpha at a time: the first proof ends the search
+            if all(not probe.decide(alpha, n * k) for k in range(budget.k_bound + 1)):
+                proof = _forall_k_proof(probe, alpha, n)
+                if proof is not None:
+                    break
     status = "proved_negative" if proof is not None else "inconclusive_negative"
     return status, None, tuple(failures), proof
 
@@ -700,16 +700,19 @@ def _nonextensible_refutation(spec: ShiftSpec, l: int):
 def _check_directional(row, spec, l, budget, pats, probes) -> None:
     wm = row.omega_verdicts["weakly_mixing"]
     for label, n in (("directional_l", 1), ("directional_l2", 2)):
-        statuses = []
-        first_negative = None
+        # one proved negative fixes the label, and the first non-witnessed pair comes at or
+        # before it, so the pairs after it are not probed
+        first_negative, proved = None, False  # every pair witnessed iff first_negative stays None
         for probe in probes:
             status = _directional(probe, l**n, budget)[0]
-            statuses.append(status)
             if status != "witnessed" and first_negative is None:
                 first_negative = probe
-        if all(s == "witnessed" for s in statuses):
+            if status == "proved_negative":
+                proved = True
+                break
+        if first_negative is None:
             row.x_probes[label] = "witnessed"
-        elif any(s == "proved_negative" for s in statuses):
+        elif proved:
             row.x_probes[label] = "proved_negative"
         else:
             row.x_probes[label] = "inconclusive_negative"

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import shift_core
-from .errors import ConnectorNotFound, NoCoprimePrime, PreconditionFailed, SpecError
+from .errors import ConnectorNotFound, NoCoprimePrime, OutputGuardExceeded, PreconditionFailed, SpecError
 from .lambda_arith import a_set, decompose, factorization, next_prime_avoiding, product_offset_bound, xi
 from .mult_shift import (
     MultiplierConstraintSet,
@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 K_SEARCH_BOUND = 64
+PREFIX_GUARD = 2**20  # symbols; the largest prefix a test or a bench round builds is about 221k
 
 
 @dataclass(frozen=True)
@@ -124,6 +125,8 @@ def _solve_prefix(omega: ShiftSpec, l: int, mcs: MultiplierConstraintSet) -> Opt
     if not mcs.satisfiable_form:
         return None
     length = max(rep * l ** (d - 1) for rep, cons in mcs.groups for d, _ in cons)
+    if length > PREFIX_GUARD:
+        raise OutputGuardExceeded(f"a prefix of {length} symbols exceeds the prefix cap {PREFIX_GUARD}")
     return least_block(omega, l, length, mcs.groups)
 
 
@@ -141,7 +144,8 @@ def try_certificate(
 ) -> WitnessCertificate:
     """Build and self-check a certificate for a multiplier the caller knows connects u to v.
 
-    Raises AssertionError when no admissible prefix meets the constraints.
+    Raises AssertionError when no admissible prefix meets the constraints, and
+    OutputGuardExceeded, before building it, when the prefix is longer than PREFIX_GUARD.
     """
     mcs = multiplier_constraints(u, v, multiplier)
     prefix = _solve_prefix(omega, l, mcs)

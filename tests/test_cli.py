@@ -144,11 +144,55 @@ def test_witness_exact_alpha_defaults_to_one(capsys, golden_spec):
     assert code == 0 and json.loads(out)["certificate"]["alpha"] == 1
 
 
-def test_python_dash_m_runs_the_cli():
+def _cli_env():
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "multishift", "--help"], capture_output=True, text=True, env=env)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_python_dash_m_runs_the_cli():
+    done = subprocess.run([sys.executable, "-m", "multishift", "--help"], capture_output=True, text=True, env=_cli_env())
     assert done.returncode == 0 and done.stdout.startswith("usage: multishift")
+
+
+def _cap_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_witness_exact_prefix_past_the_cap_exits_2(golden_spec):
+    # a yes at depth 40 needs a prefix of 2**40 symbols; the child runs under a 1 GiB
+    # address-space cap, so building it would end in MemoryError rather than this message
+    argv = ["witness", "--spec", golden_spec, "--l", "2", "--u", "block:0", "--v", "block:0",
+            "--mode", "exact", "--alpha", "1", "--k", "40"]
+    done = subprocess.run(
+        [sys.executable, "-m", "multishift", *argv],
+        capture_output=True, text=True, env=_cli_env(), preexec_fn=_cap_address_space, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: a prefix of {2**40} symbols exceeds the prefix cap {2**20}\n"
+
+
+def test_blocks_past_the_enumeration_cap_exits_2(capsys, tmp_path):
+    path = tmp_path / "full.json"
+    path.write_text(json.dumps({"kind": "sft", "alphabet": 2, "forbidden": []}))
+    code, out, err = run(capsys, "blocks", "--spec", str(path), "--n", "30", "--l", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: {2**30} blocks exceed the enumeration cap 10000000\n"
+
+
+def test_parser_is_built_once_and_reused(capsys, golden_spec):
+    from multishift.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    first = run(capsys, "props", "--spec", golden_spec, "--evidence")
+    second = run(capsys, "props", "--spec", golden_spec, "--evidence")
+    assert first == second and first[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["props"])  # --spec missing
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: multishift props") and "--spec" in err
 
 
 def test_witness_inadmissible_exit_code(capsys, golden_spec):

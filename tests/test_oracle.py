@@ -335,6 +335,63 @@ def test_campaign_row_probes_match_public_probes():
     assert seen >= {2, 3, "witnessed", "proved_negative"}
 
 
+def test_campaign_directional_sweep_stops_at_first_proof(monkeypatch):
+    # sft(2, ["01"]) at l = 2 has 19 patterns (361 pairs); pair 1 is already a proved
+    # negative at q = 2 and at q = 4, so a row probes a handful of pairs per modulus
+    from multishift import oracle
+
+    spec, budget = RAMP, SearchBudget()
+    inner, calls = oracle._directional, []
+
+    def counted(probe, q, budget):
+        calls.append(q)
+        return inner(probe, q, budget)
+
+    monkeypatch.setattr(oracle, "_directional", counted)
+    row = oracle._campaign_row(spec, 2, budget)
+    pats = oracle.x_block_patterns(spec, 2, budget.pair_length_bound)
+    assert len(pats) ** 2 == 361
+    assert 0 < calls.count(2) <= 5 and 0 < calls.count(4) <= 5
+    for label, q in (("directional_l", 2), ("directional_l2", 4)):
+        statuses = [probe_directional_q(spec, 2, q, u, v, budget).status for u in pats for v in pats]
+        assert statuses.index("proved_negative") == 1
+        assert row.x_probes[label] == "proved_negative"
+
+
+def test_directional_proof_is_first_provable_alpha():
+    # _directional walks alpha in a_set order and stops at the first all-k proof; the
+    # reference lists every alpha that fails at each k <= k_bound first, then searches it
+    from multishift.lambda_arith import a_set
+    from multishift.oracle import _directional, _forall_k_proof, _PairProbe, x_block_patterns
+
+    rng = random.Random(1717)
+    budget = SearchBudget(alpha_bound=9, k_bound=1, pair_length_bound=2)  # k_bound 1 leaves some inconclusive
+    proved = inconclusive = 0
+    for _ in range(150):
+        spec = _random_sft(rng, rng.choice([2, 3]))
+        if not blocks(spec, 1):
+            continue
+        l = rng.choice([2, 3])
+        pats = x_block_patterns(spec, l, budget.pair_length_bound)
+        for u in rng.sample(pats, min(4, len(pats))):
+            for v in rng.sample(pats, min(4, len(pats))):
+                for n in (1, 2):
+                    probe = _PairProbe(spec, l, u, v)
+                    status, _, _, proof = _directional(probe, l**n, budget)
+                    if status == "witnessed":
+                        continue
+                    alphas = a_set(l**n, budget.alpha_bound)
+                    always_failing = [
+                        a for a in alphas if all(not probe.decide(a, n * k) for k in range(budget.k_bound + 1))
+                    ]
+                    proofs = (_forall_k_proof(probe, a, n) for a in always_failing)
+                    expected = next((p for p in proofs if p is not None), None)
+                    assert proof == expected, (spec, l, n, u.entries, v.entries)
+                    proved += proof is not None
+                    inconclusive += proof is None
+    assert proved > 100 and inconclusive > 0
+
+
 def test_probe_budget_monotone():
     small = SearchBudget(alpha_bound=3, k_bound=2, pair_length_bound=2)
     large = SearchBudget(alpha_bound=9, k_bound=6, pair_length_bound=2)
