@@ -27,6 +27,7 @@ __all__ = [
     "assemble",
     "chain_length",
     "chain_positions",
+    "chain_words",
     "count_blocks",
     "enumerate_blocks",
     "extract_fiber_point",
@@ -228,22 +229,56 @@ def extract_fiber_point(y: str, rep: int, l: int, start_depth: int = 1) -> str:
     return "".join(out)
 
 
+def chain_words(prefix: str, l: int) -> set[str]:
+    """The distinct contiguous chain words of a block: ``extract_fiber_point`` over every chain, a level at a time.
+
+    The chains of length exactly t have the base-free representatives r
+    with n // l**t < r <= n // l**(t-1).  Those with r = c (mod l) put
+    their depth-(i+1) symbols at r * l**i, an arithmetic progression of
+    step l**(i+1), so one strided slice per depth reads them all.
+    """
+    n = len(prefix)
+    words: set[str] = set()
+    t, top = 1, n  # top = n // l**(t-1)
+    while top:
+        low = top // l
+        for c in range(1, l):
+            r0 = low + 1 + (c - low - 1) % l  # least rep past low in the residue class of c
+            if r0 > top:
+                continue
+            levels = [prefix[r0 * l**i - 1 : top * l**i : l ** (i + 1)] for i in range(t)]
+            words.update(levels[0] if t == 1 else map("".join, set(zip(*levels))))
+        t, top = t + 1, low
+    return words
+
+
 def least_block(omega: ShiftSpec, l: int, length: int, groups=()) -> Optional[str]:
     """Least admissible block on [1, length] meeting per-chain (depth, symbol) pins, or None.
 
     ``groups`` maps (or lists pairs of) chain representative -> pins.  By
     fiber independence each chain takes the least base-space word under its
     own pins.  Chains without pins share one fill, the least word of chain
-    1's length: unconstrained least words agree across lengths, and
-    ``assemble`` reads only as many symbols as a chain has.
+    1's length: unconstrained least words agree across lengths, so position
+    p carries fill[v_l(p)], written one strided slice per depth.  Only the
+    pinned chains are then overwritten.
     """
-    pins = dict(groups)
+    if length < 1:
+        raise ValueError("block length must be >= 1")
     fill = shift_core.least_word(omega, chain_length(1, length, l))
-    fibers = {
-        rep: shift_core.least_word(omega, chain_length(rep, length, l), pins[rep]) if rep in pins else fill
-        for rep in class_reps(length, l)
+    pinned = {
+        rep: shift_core.least_word(omega, chain_length(rep, length, l), pins)
+        for rep, pins in dict(groups).items()
     }
-    return None if None in fibers.values() else assemble(fibers, l, length)
+    if fill is None or None in pinned.values():
+        return None
+    out = bytearray(length)
+    for d, sym in enumerate(fill.encode()):
+        step = l**d
+        out[step - 1 :: step] = bytes((sym,)) * (length // step)
+    for rep, word in pinned.items():
+        for pos, sym in zip(chain_positions(rep, length, l), word.encode()):
+            out[pos - 1] = sym
+    return out.decode()
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,8 @@ from . import shift_core
 from .errors import ConnectorNotFound, NoCoprimePrime, OutputGuardExceeded, PreconditionFailed, SpecError
 from .lambda_arith import a_set, decompose, factorization, next_prime_avoiding, product_offset_bound, xi
 from .mult_shift import (
-    MultiplierConstraintSet,
     Pattern,
-    class_reps,
+    chain_words,
     extract_fiber_point,
     format_pattern,
     least_block,
@@ -56,7 +55,7 @@ __all__ = [
 ]
 
 K_SEARCH_BOUND = 64
-PREFIX_GUARD = 2**20  # symbols; the largest prefix a test or a bench round builds is about 221k
+PREFIX_GUARD = 2**20  # symbols; the largest prefix built, by a test: the golden-mean exact certificate at k = 20
 
 
 @dataclass(frozen=True)
@@ -120,16 +119,6 @@ def _fiber_words(u: Pattern) -> dict[int, str]:
     return out
 
 
-def _solve_prefix(omega: ShiftSpec, l: int, mcs: MultiplierConstraintSet) -> Optional[str]:
-    """Least admissible block satisfying the grouped constraints, or None."""
-    if not mcs.satisfiable_form:
-        return None
-    length = max(rep * l ** (d - 1) for rep, cons in mcs.groups for d, _ in cons)
-    if length > PREFIX_GUARD:
-        raise OutputGuardExceeded(f"a prefix of {length} symbols exceeds the prefix cap {PREFIX_GUARD}")
-    return least_block(omega, l, length, mcs.groups)
-
-
 def try_certificate(
     omega: ShiftSpec,
     l: int,
@@ -145,10 +134,17 @@ def try_certificate(
     """Build and self-check a certificate for a multiplier the caller knows connects u to v.
 
     Raises AssertionError when no admissible prefix meets the constraints, and
-    OutputGuardExceeded, before building it, when the prefix is longer than PREFIX_GUARD.
+    OutputGuardExceeded, before anything is built, when the prefix would be
+    longer than PREFIX_GUARD: its length is the largest constrained position,
+    max(|u|, multiplier * |v|).
     """
+    length = max(u.length, multiplier * v.length)
+    if length > PREFIX_GUARD:
+        # a length past 64 bits is named by its bit length: decimal conversion is quadratic and capped
+        size = length if length.bit_length() <= 64 else f"at least 2**{length.bit_length() - 1}"
+        raise OutputGuardExceeded(f"a prefix of {size} symbols exceeds the prefix cap {PREFIX_GUARD}")
     mcs = multiplier_constraints(u, v, multiplier)
-    prefix = _solve_prefix(omega, l, mcs)
+    prefix = least_block(omega, l, length, mcs.groups) if mcs.satisfiable_form else None
     if prefix is None:
         raise AssertionError(f"{construction} construction failed at alpha={alpha}, k={k}")
     cert = WitnessCertificate(
@@ -170,18 +166,19 @@ def try_certificate(
 def prefix_fault(omega: ShiftSpec, l: int, groups: tuple, prefix: str) -> Optional[str]:
     """Why ``prefix`` is no admissible block meeting the per-chain (depth, symbol) groups, or None.
 
-    Read chain by chain: by fiber independence the prefix is admissible
-    exactly when every chain word is, so each distinct word is checked once.
+    Read a depth level at a time: by fiber independence the prefix is
+    admissible exactly when every chain word is, so each distinct word is
+    checked once.
     """
     needed = max(rep * l ** (d - 1) for rep, cons in groups for d, _ in cons)
     if len(prefix) < needed:
         return f"prefix length {len(prefix)} does not cover position {needed}"
-    words = {rep: extract_fiber_point(prefix, rep, l) for rep in class_reps(len(prefix), l)}
     for rep, cons in groups:
         for depth, sym in cons:
-            if int(words[rep][depth - 1]) != sym:
-                return f"prefix violates the constraint at position {rep * l ** (depth - 1)}"
-    if not all(word_admissible(omega, word) for word in set(words.values())):
+            pos = rep * l ** (depth - 1)
+            if int(prefix[pos - 1]) != sym:
+                return f"prefix violates the constraint at position {pos}"
+    if not all(word_admissible(omega, word) for word in chain_words(prefix, l)):
         return "prefix is not an admissible block"
     return None
 

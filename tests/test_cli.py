@@ -173,6 +173,17 @@ def test_witness_exact_prefix_past_the_cap_exits_2(golden_spec):
     assert done.stderr == f"error: a prefix of {2**40} symbols exceeds the prefix cap {2**20}\n"
 
 
+@pytest.mark.parametrize("mode", ["transitive", "exact", "mixing"])
+def test_witness_deep_k_hits_the_prefix_cap_first(capsys, golden_spec, mode):
+    # the multiplier has about 10**5 bits: the cap is checked before any position is decomposed,
+    # and the message names the length by its bit length, which has no decimal conversion limit
+    argv = ["witness", "--spec", golden_spec, "--l", "2", "--u", "block:0", "--v", "block:0",
+            "--mode", mode, "--k", "100000"]
+    code, out, err = run(capsys, *argv, *([] if mode == "transitive" else ["--alpha", "1"]))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a prefix of at least 2**1000") and err.endswith(f"the prefix cap {2**20}\n")
+
+
 def test_blocks_past_the_enumeration_cap_exits_2(capsys, tmp_path):
     path = tmp_path / "full.json"
     path.write_text(json.dumps({"kind": "sft", "alphabet": 2, "forbidden": []}))

@@ -3,10 +3,20 @@ import random
 import pytest
 
 from multishift.errors import InadmissiblePattern, NoCoprimePrime, PreconditionFailed
-from multishift.mult_shift import Pattern, assemble, chain_length, class_reps, is_admissible, least_block
+from multishift.mult_shift import (
+    Pattern,
+    assemble,
+    chain_length,
+    chain_positions,
+    chain_words,
+    class_reps,
+    is_admissible,
+    least_block,
+)
 from multishift.oracle import exists_witness_exact, verify_certificate
-from multishift.shift_core import alphabet_of, blocks, sft, spacing
+from multishift.shift_core import alphabet_of, blocks, least_word, sft, spacing
 from multishift.witness import (
+    PREFIX_GUARD,
     certificate_from_dict,
     certificate_to_dict,
     extract_fiber_point,
@@ -316,8 +326,14 @@ PREFIX_SPECS = (GOLDEN, sft(2, ["000", "101"]), sft(3, ["01", "22"]), sft(3, ["1
 
 def _random_block(rng, omega, l, n):
     """A random admissible block on [1, n]: a random admissible word on every chain."""
-    words = {rep: rng.choice(sorted(blocks(omega, chain_length(rep, n, l)))) for rep in class_reps(n, l)}
+    by_length = {t: sorted(blocks(omega, t)) for t in range(1, chain_length(1, n, l) + 1)}
+    words = {rep: rng.choice(by_length[chain_length(rep, n, l)]) for rep in class_reps(n, l)}
     return assemble(words, l, n)
+
+
+def _level_boundaries(l, top=3000):
+    """Lengths l**t - 1, l**t and l**t + 1 up to about ``top``: where chains gain a level."""
+    return sorted({l**t + d for t in range(1, top.bit_length()) if l**t <= top for d in (-1, 0, 1)} - {0})
 
 
 def _random_pins(rng, prefix):
@@ -332,8 +348,7 @@ def test_prefix_fault_matches_whole_block_admissibility():
     for omega in PREFIX_SPECS:
         m = alphabet_of(omega)
         for l in (2, 3, 4, 6):
-            for _ in range(30):
-                n = rng.randint(1, 200)
+            for n in [rng.randint(1, 200) for _ in range(30)] + _level_boundaries(l):
                 prefix = list(_random_block(rng, omega, l, n))
                 for p in rng.sample(range(n), rng.choice((0, 1, 2, 3)) if n > 3 else 0):
                     prefix[p] = str(rng.randrange(m))
@@ -372,6 +387,66 @@ def test_least_block_meets_its_pins_and_is_admissible():
                 assert least <= prefix  # least on every chain, so least as a block
     assert least_block(GOLDEN, 2, 4, {1: ((1, 1), (2, 1))}) is None  # chain 1 would start with 11
     assert least_block(GOLDEN, 2, 4) == "0000"
+
+
+def test_chain_words_match_per_chain_extraction():
+    rng = random.Random(18)
+    for omega in (GOLDEN, sft(3, ["12", "210", "00"])):
+        for l in (2, 3, 4, 6):
+            for n in _level_boundaries(l):
+                prefix = _random_block(rng, omega, l, n)
+                least = least_block(omega, l, n, Pattern.make(_random_pins(rng, prefix), l, omega).fibers())
+                for y in (prefix, least):
+                    assert chain_words(y, l) == {extract_fiber_point(y, rep, l) for rep in class_reps(n, l)}, (l, y)
+
+
+def _least_block_reference(omega, l, n, groups):
+    """Per-chain least words under each chain's pins, assembled; None when any chain has none."""
+    pins = dict(groups)
+    words = {rep: least_word(omega, chain_length(rep, n, l), pins.get(rep, ())) for rep in class_reps(n, l)}
+    return None if None in words.values() else assemble(words, l, n)
+
+
+def test_least_block_matches_per_chain_reference():
+    rng = random.Random(1995)
+    found = {"block": 0, "none": 0}
+    for omega in PREFIX_SPECS:
+        m = alphabet_of(omega)
+        for l in (2, 3, 4, 6):
+            for n in [rng.randint(1, 300) for _ in range(20)] + _level_boundaries(l, 1000):
+                # random symbols at one to four random positions and the first three of one chain's:
+                # some chains get pins no word meets
+                pins = {p: rng.randrange(m) for p in rng.sample(range(1, n + 1), min(n, rng.randint(1, 4)))}
+                pins.update((p, rng.randrange(m)) for p in chain_positions(rng.choice(class_reps(n, l)), n, l)[:3])
+                groups = Pattern.make(pins, l, omega).fibers()
+                least = least_block(omega, l, n, groups)
+                assert least == _least_block_reference(omega, l, n, groups), (omega, l, n, pins)
+                found["none" if least is None else "block"] += 1
+    assert min(found.values()) >= 50, found
+    infeasible = {1: ((1, 1), (2, 1))}  # chain 1 would start with 11
+    assert least_block(GOLDEN, 2, 4, infeasible) is None and _least_block_reference(GOLDEN, 2, 4, infeasible) is None
+
+
+def test_exact_certificate_at_the_prefix_cap():
+    import dataclasses
+
+    u = block("0", 2, GOLDEN)
+    cert = exists_witness_exact(GOLDEN, 2, u, u, 1, 20)  # builds and self-checks
+    assert len(cert.prefix) == PREFIX_GUARD
+    assert verify_certificate(GOLDEN, 2, cert) == (True, "ok")
+    # every golden-mean fill symbol is 0, so one flip breaks a pin: position 2**20 is depth 21 of chain 1
+    flipped = cert.prefix[:-1] + "1"
+    assert verify_certificate(GOLDEN, 2, dataclasses.replace(cert, prefix=flipped)) == (
+        False,
+        f"prefix violates the constraint at position {PREFIX_GUARD}",
+    )
+    # and two flips on chain 3, at depths 10 and 11, make its word read 11
+    chars = list(cert.prefix)
+    chars[3 * 2**9 - 1] = chars[3 * 2**10 - 1] = "1"
+    assert verify_certificate(GOLDEN, 2, dataclasses.replace(cert, prefix="".join(chars))) == (
+        False,
+        "prefix is not an admissible block",
+    )
 
 
 # --- serialization ---------------------------------------------------------------
