@@ -25,7 +25,6 @@ import math
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -830,6 +829,8 @@ def campaign(
     tasks = [(spec, l) for spec in specs for l in l_values]
     start = time.monotonic()
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported here: it loads multiprocessing, pickle and more
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_row_task, [(spec, l, budget) for spec, l in tasks], chunksize=8))
     else:

@@ -21,6 +21,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from .errors import (
     HorizonExceeded,
     InadmissiblePattern,
+    OutputGuardExceeded,
     PreconditionFailed,
     SpecError,
     UndecidableProperty,
@@ -34,6 +35,7 @@ __all__ = [
     "SftSpec",
     "ShiftSpec",
     "SpacingSpec",
+    "WINDOW_GUARD",
     "alphabet_of",
     "blocks",
     "build_graph",
@@ -56,6 +58,7 @@ DEFAULT_HORIZON = 100_000
 PROPERTIES = ("extensible", "transitive", "totally_transitive", "weakly_mixing", "mixing")
 
 _DIGITS = "0123456789"
+_ONE_HOT = {c: str.maketrans(_DIGITS, "".join("1" if d == c else "0" for d in _DIGITS)) for c in _DIGITS}
 
 
 def _normalize_forbidden(words: Iterable[str]) -> tuple[str, ...]:
@@ -210,19 +213,25 @@ class DeBruijnGraph:
         n = len(self.vertices)
         self.full = (1 << n) - 1
         # per symbol (None: any symbol), per vertex: mask of successors / predecessors
-        self.succ: dict[Optional[int], list[int]] = {None: [0] * n}
-        self.pred: dict[Optional[int], list[int]] = {None: [0] * n}
+        symbols = (None, *sorted({s for edges in self.out for s, _ in edges}))
+        self.succ: dict[Optional[int], list[int]] = {sym: [0] * n for sym in symbols}
+        self.pred: dict[Optional[int], list[int]] = {sym: [0] * n for sym in symbols}
+        succ, pred = self.succ, self.pred
         for u, edges in enumerate(self.out):
+            bit = 1 << u
             for s, d in edges:
-                for sym in (s, None):
-                    self.succ.setdefault(sym, [0] * n)[u] |= 1 << d
-                    self.pred.setdefault(sym, [0] * n)[d] |= 1 << u
+                succ[s][u] = 1 << d  # u and s fix d
+                succ[None][u] |= 1 << d
+                pred[s][d] |= bit
+                pred[None][d] |= bit
         self.components: Optional[tuple[int, ...]] = None  # filled once by _components
-        # per window position, per symbol: mask of windows carrying that symbol there
+        # per window position, per symbol: mask of windows carrying that symbol there, read off
+        # the column of that position's symbols (last vertex first) as a binary numeral
         self.at: list[dict[int, int]] = [{} for _ in range(window)]
-        for i, v in enumerate(self.vertices):
-            for p, ch in enumerate(v):
-                self.at[p][int(ch)] = self.at[p].get(int(ch), 0) | 1 << i
+        for masks, column in zip(self.at, zip(*self.vertices)):
+            column = "".join(reversed(column))
+            for ch in sorted(set(column)):
+                masks[int(ch)] = int(column.translate(_ONE_HOT[ch]), 2)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -276,42 +285,49 @@ def _ctx(spec: ShiftSpec) -> _Ctx:
 # ---------------------------------------------------------------------------
 # graph construction
 
+WINDOW_GUARD = 2**14  # clean words of one length a window graph may grow to; at the cap `props` peaks under 300 MB
+
 
 def _build_graph(spec: SftSpec) -> DeBruijnGraph:
-    symbols = [_DIGITS[s] for s in range(spec.alphabet)]
-    singles = {w for w in spec.forbidden if len(w) == 1}
-    allowed = [c for c in symbols if c not in singles]
-    long_forbidden = [w for w in spec.forbidden if len(w) >= 2]
+    """Grow the clean words one symbol at a time, read edges off those one longer than a window, prune.
+
+    A word whose prefix is clean can hold a forbidden word only as a
+    suffix, so each new word checks its suffixes against the forbidden
+    set.  Words grow in sorted order.  Every length up to the window is
+    counted against WINDOW_GUARD before the next one grows.
+    """
+    forbidden = frozenset(spec.forbidden)
+    suffixes = [slice(-n, None) for n in sorted({len(w) for w in forbidden})]
+
+    def grow(words: list[str]) -> list[str]:
+        """The clean one-symbol extensions of clean words, in order."""
+        return [
+            w for p in words for c in _DIGITS[: spec.alphabet] for w in [p + c]
+            if forbidden.isdisjoint(map(w.__getitem__, suffixes))
+        ]
+
     window = max(spec.memory - 1, 1)
-
-    candidates = [""]
-    for _ in range(window):
-        candidates = [w + c for w in candidates for c in allowed]
-    candidates = [w for w in candidates if not any(f in w for f in long_forbidden)]
-
-    alive = set(candidates)
-
-    def out_edges(u: str) -> list[tuple[int, str]]:
-        edges = []
-        for c in allowed:
-            w = u + c
-            if any(f in w for f in long_forbidden):
-                continue
-            dst = w[1:]
-            if dst in alive:
-                edges.append((int(c), dst))
-        return edges
-
-    while True:
-        dead = [u for u in alive if not out_edges(u)]
-        if not dead:
-            break
-        alive.difference_update(dead)
-
-    vertices = sorted(alive)
-    index = {v: i for i, v in enumerate(vertices)}
-    out = [[(s, index[d]) for s, d in out_edges(v)] for v in vertices]
-    pruned = sorted(set(candidates) - alive)
+    words = [""]
+    for size in range(1, window + 1):
+        words = grow(words)
+        if len(words) > WINDOW_GUARD:
+            raise OutputGuardExceeded(f"{len(words)} clean words of length {size} exceed the window cap {WINDOW_GUARD}")
+    index = {w: i for i, w in enumerate(words)}
+    edges: list[list[tuple[int, int]]] = [[] for _ in words]  # per window: (symbol, dst)
+    preds = [0] * len(words)
+    for e in grow(words):
+        u, d = index[e[:-1]], index[e[1:]]
+        edges[u].append((int(e[-1]), d))
+        preds[d] |= 1 << u
+    # forward pruning: keep the windows with a successor among the kept ones, to the fixed point
+    alive, kept = 0, (1 << len(words)) - 1
+    while kept != alive:
+        alive, kept = kept, kept & _advance({None: preds}, kept)
+    bits = format(alive, "b")[::-1].ljust(len(words), "0")
+    renumber = {i: j for j, i in enumerate(i for i, bit in enumerate(bits) if bit == "1")}
+    vertices = [words[i] for i in renumber]
+    out = [[(s, renumber[d]) for s, d in edges[i] if d in renumber] for i in renumber]
+    pruned = [w for w, bit in zip(words, bits) if bit == "0"]
     return DeBruijnGraph(window, vertices, out, pruned)
 
 
@@ -702,7 +718,8 @@ def _primitivity_exponent(ctx: _Ctx) -> int:
         if all(r == g.full for r in power):
             ctx._gamma = t
             return t
-        power = [_advance(g.succ, r) for r in power]
+        # a length-(t+1) path from u is an edge u -> d and a length-t path from d
+        power = [_advance({None: power}, heads) for heads in g.succ[None]]
     raise PreconditionFailed("graph is not primitive")
 
 

@@ -173,6 +173,34 @@ def test_witness_exact_prefix_past_the_cap_exits_2(golden_spec):
     assert done.stderr == f"error: a prefix of {2**40} symbols exceeds the prefix cap {2**20}\n"
 
 
+@pytest.mark.parametrize(
+    "word, code, stderr",
+    [
+        ("00000", 0, ""),  # 10**4 windows answer under the cap
+        ("000000", 2, f"error: 100000 clean words of length 5 exceed the window cap {2**14}\n"),
+    ],
+)
+def test_props_past_the_window_cap_exits_2(tmp_path, word, code, stderr):
+    # the child runs under a 1 GiB address-space cap, so building the graph of 10**5 windows
+    # would end in MemoryError rather than this message
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"kind": "sft", "alphabet": 10, "forbidden": [word]}))
+    done = subprocess.run(
+        [sys.executable, "-m", "multishift", "props", "--spec", str(path)],
+        capture_output=True, text=True, env=_cli_env(), preexec_fn=_cap_address_space, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (code, stderr)
+    if code == 0:
+        assert all(json.loads(done.stdout).values())
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # campaign(jobs > 1) imports concurrent.futures itself; the jobs=2 tests cover that path
+    probe = "import sys, multishift, multishift.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_cli_env())
+    assert (done.returncode, done.stdout) == (0, "False\n")
+
+
 @pytest.mark.parametrize("mode", ["transitive", "exact", "mixing"])
 def test_witness_deep_k_hits_the_prefix_cap_first(capsys, golden_spec, mode):
     # the multiplier has about 10**5 bits: the cap is checked before any position is decomposed,

@@ -60,6 +60,67 @@ def test_graph_ramp():
     assert sorted(s for s, _ in g.out[g.vertices.index("1")]) == [0, 1]
 
 
+def test_window_graph_matches_language():
+    # the grown and pruned graph against strings: windows are the admissible words of the
+    # window's length, labelled edges the admissible words one longer, pruned windows the
+    # clean words of the window's length outside the language
+    rng = random.Random(1919)
+    longest = {1: 6, 2: 6, 3: 4, 4: 3}  # forbidden word lengths the brute language search affords
+    specs = [sft(1, []), sft(1, ["000000"]), sft(2, ["0", "1"]), sft(3, ["1"]), sft(4, ["0", "2", "13"])]
+    for _ in range(250):
+        digits = "0123"[: rng.randint(1, 4)]
+        words = ["".join(rng.choices(digits, k=rng.randint(1, longest[len(digits)]))) for _ in range(rng.randint(0, 6))]
+        specs.append(sft(len(digits), words))
+    seen = set()
+    for spec in specs:
+        g = build_graph(spec)
+        window = max(spec.memory - 1, 1)
+        words = set(map("".join, itertools.product("0123"[: spec.alphabet], repeat=window)))
+        clean = {w for w in words if not any(f in w for f in spec.forbidden)}
+        assert g.window == window
+        assert g.vertices == tuple(sorted(language(spec, window))), spec
+        assert g.pruned == tuple(sorted(clean - language(spec, window))), spec
+        labelled = [(u, s, d) for u, edges in enumerate(g.out) for s, d in edges]
+        assert sorted(g.vertices[u] + str(s) for u, s, _ in labelled) == sorted(language(spec, window + 1)), spec
+        assert all(g.vertices[d] == (g.vertices[u] + str(s))[1:] for u, s, d in labelled), spec
+        assert set(g.succ) == set(g.pred) == {None, *(s for _, s, _ in labelled)}, spec
+        for sym in g.succ:
+            on = [(u, d) for u, s, d in labelled if sym in (None, s)]
+            assert g.succ[sym] == [sum(1 << d for x, d in on if x == u) for u in range(len(g))], spec
+            assert g.pred[sym] == [sum(1 << u for u, x in on if x == d) for d in range(len(g))], spec
+        for p, masks in enumerate(g.at):
+            at = {int(v[p]) for v in g.vertices}
+            assert masks == {s: sum(1 << i for i, v in enumerate(g.vertices) if v[p] == str(s)) for s in at}, spec
+        seen |= {f"alphabet {spec.alphabet}", f"memory {spec.memory}"}
+        if any(len(w) == 1 for w in spec.forbidden):
+            seen.add("single")
+        if g.pruned:
+            seen.add("pruned")
+        if not g.vertices:
+            seen.add("empty")
+    assert seen >= {f"alphabet {a}" for a in range(1, 5)} | {f"memory {m}" for m in range(7)} | {"single", "pruned", "empty"}
+
+
+def test_window_graph_build_and_decide_on_1000_windows():
+    # every 4-word over ten symbols but 0000: growing the windows, reading the 9,999 edges,
+    # the per-symbol tables (one allocation each) and the primitivity exponent from successor
+    # rows are each linear in the edges, so both take a few hundredths of a second of CPU;
+    # a fresh n-long table per edge costs about 0.2 s, and an exponent that steps every set
+    # bit of every row about 0.4 s
+    spec = sft(10, ["0000"])
+    shift_core._CONTEXTS.pop(spec, None)
+    start = time.process_time()
+    g = build_graph(spec)
+    built = time.process_time() - start
+    verdicts = {prop: decide(spec, prop) for prop in PROPERTIES}
+    elapsed = time.process_time() - start
+    assert len(g) == 1000 and g.pruned == ()
+    assert all(v.value for v in verdicts.values())
+    assert verdicts["mixing"].evidence == "strongly connected; cycle-length gcd 1; primitivity exponent 4"
+    assert built < 0.1, f"building took {built:.2f} s of CPU"
+    assert elapsed < 0.25, f"building and deciding took {elapsed:.2f} s of CPU"
+
+
 def test_graph_everything_forbidden():
     g = build_graph(sft(2, ["0", "1"]))
     assert g.vertices == ()
