@@ -248,6 +248,109 @@ class _PairProbe:
         return out
 
 
+class _PairGrid:
+    """Every pair of a pattern list decided at once, as int bitmasks over pair indices.
+
+    Pair i * N + j is (pats[i], pats[j]), ``itertools.product`` order.
+    ``depths(m, width)[e]`` is the mask of the pairs that
+    ``_PairProbe(omega, l, u, v).decide(m, e)`` accepts, for every e < width.
+
+    Exact by the argument of ``_PairProbe``.  By injectivity, v's chain c
+    lands on one target chain, where u's fiber there and v's fiber on c
+    meet in one offset table, at offset base + e with base =
+    v_l(alpha1 * m * c) + k1.  By monotonicity, a pair is accepted iff u
+    has no inadmissible class and every v chain's table holds.  So per v
+    chain c the u's group by (base, fiber on the target) and the v's by
+    their fiber on c; each pair of groups accepts the product of its two
+    index sets at the depths e where ``table.bits(base + width) >> base``
+    has bit e.  Pairs whose v has no chain c are free on c.
+
+    A gap-set lookup past the horizon raises, and the grid reads offsets
+    the lazy path may never read.  So the grid reads no table past its
+    ``reach``: the pairs that table serves join ``unsure``, which
+    ``left_out`` hands to the lazy engine whatever the masks say.  Their
+    callers then read what the lazy path reads, and raise where it raises.
+
+    The grid serves the callers that ask about every pair of a list; it
+    is not a second engine for the lazy one to fold into.  Single probes
+    (``probe_directional_q``, ``exists_witness_exact``, ``_forall_k_proof``)
+    stay on ``_PairProbe``: a one-pair grid fills every depth of the width
+    for every alpha, where the lazy walk stops at the first alpha that fails.
+    """
+
+    def __init__(self, omega: ShiftSpec, l: int, pats: Sequence[Pattern]):
+        self.omega = omega
+        self.l = l
+        self.pats = pats
+        n = self.n = len(pats)
+        self.full = (1 << n * n) - 1
+        self.tables = shift_core.offset_tables(omega)
+        self.unsure = 0
+        # u's by length, as (alpha1, k1, [(spread bit of u, u's fibers)]); u's with an inadmissible class drop out
+        by_length: dict[int, list] = {}
+        self.good = 0
+        for i, u in enumerate(pats):
+            if not mult_shift.inadmissible_classes(u):
+                by_length.setdefault(u.length, []).append((1 << i * n, u.fibers()))
+                self.good |= ((1 << n) - 1) << i * n
+        self.u_lengths = [(*_split(length, l), members) for length, members in by_length.items()]
+        # per v chain c: v's by fiber on c (masks over v indices), and the pairs free on c
+        self.v_groups: dict[int, dict[tuple, int]] = {}
+        for j, v in enumerate(pats):
+            for c, cons in v.fibers().items():
+                groups = self.v_groups.setdefault(c, {})
+                groups[cons] = groups.get(cons, 0) | 1 << j
+        spread_all = sum(1 << i * n for i in range(n))
+        self.free = {c: (((1 << n) - 1) & ~sum(groups.values())) * spread_all for c, groups in self.v_groups.items()}
+        self._depths: dict[int, list[int]] = {}
+
+    def depths(self, m: int, width: int) -> list[int]:
+        """Per depth e < width, the mask of pairs accepted at the multiplier |u| * m * l**e (kept per m)."""
+        out = self._depths.get(m)
+        if out is not None and len(out) >= width:
+            return out
+        out = [self.good] * width
+        for c, v_groups in self.v_groups.items():
+            rows: dict[int, int] = {}  # depth row -> pairs accepted on chain c at its depths
+            for alpha1, k1, members in self.u_lengths:
+                target, depth = _split(alpha1 * m * c, self.l)
+                base = depth + k1
+                u_groups: dict[tuple, int] = {}
+                for bit, fibers in members:
+                    ufib = fibers.get(target, ())
+                    u_groups[ufib] = u_groups.get(ufib, 0) | bit
+                for ufib, uspread in u_groups.items():
+                    by_row: dict[int, int] = {}
+                    for vfib, vmask in v_groups.items():
+                        table, reach = self.tables[ufib, vfib], base + width
+                        if table.reach is not None and table.reach < reach:
+                            self.unsure |= vmask * uspread
+                            reach = table.reach
+                        row = table.bits(reach) >> base
+                        if row:
+                            by_row[row] = by_row.get(row, 0) | vmask
+                    for row, vmask in by_row.items():
+                        rows[row] = rows.get(row, 0) | vmask * uspread
+            accepted = [self.free[c]] * width
+            for row, pairs in rows.items():
+                while row:
+                    low = row & -row
+                    accepted[low.bit_length() - 1] |= pairs
+                    row ^= low
+            out = [a & b for a, b in zip(out, accepted)]
+        self._depths[m] = out
+        return out
+
+    def left_out(self, mask: int):
+        """Lazy engines, in product order, for the pairs outside ``mask`` and for every unsure pair."""
+        rest = self.full & ~(mask & ~self.unsure)
+        while rest:
+            low = rest & -rest
+            i, j = divmod(low.bit_length() - 1, self.n)
+            yield _PairProbe(self.omega, self.l, self.pats[i], self.pats[j])
+            rest ^= low
+
+
 # ---------------------------------------------------------------------------
 # all-k infeasibility proofs (finite-type base spaces, power moduli)
 
@@ -404,21 +507,24 @@ def probe_transitive_X(omega: ShiftSpec, l: int, budget: SearchBudget) -> Transi
     least chain offset any multiplier produces.
     """
     pats = x_block_patterns(omega, l, budget.pair_length_bound)
-    return _transitive(l, [_PairProbe(omega, l, u, v) for u, v in itertools.product(pats, pats)], budget)
+    return _transitive(_PairGrid(omega, l, pats), budget)
 
 
-def _transitive(l: int, probes: Sequence[_PairProbe], budget: SearchBudget) -> TransitiveVerdict:
-    """``probe_transitive_X`` on built engines, one per pattern pair."""
-    order = _alpha_k_order(l, budget)
+def _transitive(grid: _PairGrid, budget: SearchBudget) -> TransitiveVerdict:
+    """``probe_transitive_X`` on a built grid: lazy engines only for the pairs no (alpha, k) connects."""
+    order = _alpha_k_order(grid.l, budget)
+    connected = 0
+    for alpha, k in order:
+        connected |= grid.depths(alpha, budget.k_bound + 1)[k]
+    witnessed = (connected & ~grid.unsure).bit_count()
     failing = []
     proofs = []
-    witnessed = 0
-    for probe in probes:
-        if any(probe.decide(alpha, k) for alpha, k in order):
+    for probe in grid.left_out(connected):
+        if grid.unsure and any(probe.decide(alpha, k) for alpha, k in order):
             witnessed += 1
             continue
         failing.append((mult_shift.format_pattern(probe.u), mult_shift.format_pattern(probe.v)))
-        proof = _never_witnessable_proof(probe.omega, l, probe.u, probe.v)
+        proof = _never_witnessable_proof(probe.omega, grid.l, probe.u, probe.v)
         if proof is not None:
             proofs.append(proof)
     if not failing:
@@ -427,7 +533,7 @@ def _transitive(l: int, probes: Sequence[_PairProbe], budget: SearchBudget) -> T
         status = "proved_negative"
     else:
         status = "inconclusive_negative"
-    return TransitiveVerdict(status, len(probes), witnessed, tuple(failing), tuple(proofs), budget)
+    return TransitiveVerdict(status, grid.n**2, witnessed, tuple(failing), tuple(proofs), budget)
 
 
 def _never_witnessable_proof(omega: ShiftSpec, l: int, u: Pattern, v: Pattern) -> Optional[dict]:
@@ -614,10 +720,10 @@ def _campaign_row(spec: ShiftSpec, l: int, budget: SearchBudget) -> CampaignRow:
         return row
 
     pats = x_block_patterns(spec, l, budget.pair_length_bound)
-    probes = [_PairProbe(spec, l, u, v) for u, v in itertools.product(pats, pats)]
-    _check_transitivity(row, spec, l, budget, pats, probes)
-    _check_directional(row, spec, l, budget, pats, probes)
-    _check_mixing(row, spec, l, budget, pats, probes)
+    grid = _PairGrid(spec, l, pats)
+    _check_transitivity(row, spec, l, budget, pats, grid)
+    _check_directional(row, spec, l, budget, pats, grid)
+    _check_mixing(row, spec, l, budget, pats, grid)
     return row
 
 
@@ -629,9 +735,9 @@ def _record_cert(row: CampaignRow, spec: ShiftSpec, l: int, cert: WitnessCertifi
         row.hard.append({"check": where, "kind": "certificate_failed_verification", "reason": reason})
 
 
-def _check_transitivity(row, spec, l, budget, pats, probes) -> None:
+def _check_transitivity(row, spec, l, budget, pats, grid) -> None:
     extensible = row.omega_verdicts["extensible"]
-    verdict = _transitive(l, probes, budget)
+    verdict = _transitive(grid, budget)
     row.x_probes["transitive"] = verdict.status
     if extensible:
         if verdict.status != "witnessed":
@@ -696,13 +802,20 @@ def _nonextensible_refutation(spec: ShiftSpec, l: int):
     return u, v, word, offset
 
 
-def _check_directional(row, spec, l, budget, pats, probes) -> None:
+def _check_directional(row, spec, l, budget, pats, grid) -> None:
     wm = row.omega_verdicts["weakly_mixing"]
     for label, n in (("directional_l", 1), ("directional_l2", 2)):
+        alphas, width = a_set(l**n, budget.alpha_bound), n * budget.k_bound + 1
+        witnessed = 0  # pairs with one depth k that every alpha accepts
+        for k in range(budget.k_bound + 1):
+            uniform = grid.full
+            for alpha in alphas:
+                uniform &= grid.depths(alpha, width)[n * k]
+            witnessed |= uniform
         # one proved negative fixes the label, and the first non-witnessed pair comes at or
         # before it, so the pairs after it are not probed
         first_negative, proved = None, False  # every pair witnessed iff first_negative stays None
-        for probe in probes:
+        for probe in grid.left_out(witnessed):
             status = _directional(probe, l**n, budget)[0]
             if status != "witnessed" and first_negative is None:
                 first_negative = probe
@@ -757,7 +870,7 @@ def _check_directional(row, spec, l, budget, pats, probes) -> None:
             row.checks["directional"] = "inconclusive"
 
 
-def _check_mixing(row, spec, l, budget, pats, probes) -> None:
+def _check_mixing(row, spec, l, budget, pats, grid) -> None:
     mixing = row.omega_verdicts["mixing"]
     if mixing:
         threshold = shift_core.mixing_gap_index(spec)
@@ -772,7 +885,10 @@ def _check_mixing(row, spec, l, budget, pats, probes) -> None:
             row.checks["mixing"] = "inconclusive"
             row.notes.append(f"mixing window above l**{threshold} is out of budget reach")
             return
-        for probe in probes:
+        every = grid.full
+        for alpha, k in window:
+            every &= grid.depths(alpha, budget.k_bound + 1)[k]
+        for probe in grid.left_out(every):
             bad = [(a, k) for a, k in window if not probe.decide(a, k)]
             if bad:
                 row.hard.append(

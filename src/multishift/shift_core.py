@@ -441,9 +441,38 @@ class _OffsetTable(dict):
     the moving pins at their relative places (memoized per spec).  That
     walk is exactly the tail of the direct one, which is unconstrained
     from P0 + 1 to P.  Other offsets, and gap-set spaces, walk directly.
+
+    ``reach`` is the least offset whose lookup may raise HorizonExceeded
+    (a gap-set pin past the horizon), or None where no lookup raises.
     """
 
-    __slots__ = ("ctx", "static", "moving", "first")
+    __slots__ = ("ctx", "static", "moving", "first", "reach", "cycle")
+
+    def bits(self, n: int) -> int:
+        """The mask of the offsets r < n where ``self[r]`` holds.
+
+        On a finite-type table with moving pins, the offsets r >= r0 =
+        origin + 1 - first are read off the static orbit at step r - r0, as
+        ``__missing__`` reads them, so they repeat with the orbit's period
+        from max(0, r0 + preperiod) on.  The head before that and one
+        period are each read once through lookups; any width is then the
+        head and the period repeated.  Other tables read every offset.
+        """
+        if n <= 0:
+            return 0
+        if self.ctx.graph is None or not self.moving:
+            return sum(1 << r for r in range(n) if self[r])
+        if self.cycle is None:
+            orbit = _static_orbit(self.ctx, self.static)
+            start = max(0, orbit.origin + 1 - self.first + orbit.preperiod)
+            head = sum(1 << r for r in range(start) if self[r])
+            cycle = sum(1 << i for i in range(orbit.period) if self[start + i])
+            self.cycle = head, cycle, start, orbit.period
+        head, cycle, start, period = self.cycle
+        if n > start:
+            reps = -(-(n - start) // period)
+            head |= cycle * (((1 << reps * period) - 1) // ((1 << period) - 1)) << start
+        return head & ((1 << n) - 1)
 
     def __missing__(self, offset: int) -> bool:
         ctx = self.ctx
@@ -468,6 +497,14 @@ class _OffsetTables(dict):
         table = self[key] = _OffsetTable()
         table.ctx, (table.static, table.moving) = self.ctx, key
         table.first = min((pos for pos, _ in table.moving), default=0)
+        table.cycle = table.reach = None
+        spec = self.ctx.spec
+        if isinstance(spec, SpacingSpec) and (table.static or table.moving):
+            # a lookup without clashing pins raises once its deepest pin passes the horizon
+            if max((pos for pos, _ in table.static), default=0) > spec.horizon:
+                table.reach = 0
+            elif table.moving:
+                table.reach = max(0, spec.horizon + 1 - max(pos for pos, _ in table.moving))
         return table
 
 
@@ -679,14 +716,53 @@ def _closure(table: Mapping[Optional[int], Sequence[int]], states: int) -> int:
 
 
 def _components(g: DeBruijnGraph) -> tuple[int, ...]:
-    """Strongly connected components as masks (a seed's forward closure meets its backward closure), once per graph."""
+    """Strongly connected components as masks, by lowest vertex, once per graph.
+
+    An iterative Tarjan walk over ``g.out``: time linear in the edges.
+    """
     if g.components is None:
-        comps, rest = [], g.full
-        while rest:
-            seed = rest & -rest
-            comps.append(_closure(g.succ, seed) & _closure(g.pred, seed))
-            rest &= ~comps[-1]
-        g.components = tuple(comps)
+        n = len(g.vertices)
+        index = [-1] * n  # visit order, -1 before the visit
+        low = [0] * n  # least visit order reachable from the vertex through open vertices
+        open_ = [False] * n  # on the stack: visited, component not yet closed
+        stack: list[int] = []
+        walk: list[tuple] = []  # the DFS path, each vertex with its unread edges
+        comps, visits = [], 0
+
+        def enter(v: int) -> None:
+            nonlocal visits
+            index[v] = low[v] = visits
+            visits += 1
+            stack.append(v)
+            open_[v] = True
+            walk.append((v, iter(g.out[v])))
+
+        for root in range(n):
+            if index[root] >= 0:
+                continue
+            enter(root)
+            while walk:
+                v, edges = walk[-1]
+                for _, w in edges:
+                    if index[w] < 0:
+                        enter(w)
+                        break
+                    if open_[w] and index[w] < low[v]:
+                        low[v] = index[w]
+                else:
+                    walk.pop()
+                    if walk and low[v] < low[walk[-1][0]]:
+                        low[walk[-1][0]] = low[v]
+                    if low[v] == index[v]:  # v roots a component: it is v and everything above it
+                        comp = 0
+                        while True:
+                            w = stack.pop()
+                            open_[w] = False
+                            comp |= 1 << w
+                            if w == v:
+                                break
+                        comps.append(comp)
+        g.components = tuple(sorted(comps, key=lambda comp: comp & -comp))
     return g.components
 
 

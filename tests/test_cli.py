@@ -268,6 +268,43 @@ def test_campaign_smoke(capsys, tmp_path, golden_spec, ramp_spec):
     assert "hard=0" in out
 
 
+@pytest.mark.parametrize("horizon", [20, 30, None])
+def test_campaign_gap_set_rows_match_the_lazy_path_near_the_horizon(capsys, tmp_path, monkeypatch, horizon):
+    # a row's pair grid reads offsets the lazy engine may never read, and a gap-set lookup past
+    # the horizon raises; the grid hands the pairs it cannot read to the lazy engine, so rows,
+    # table, exit code and error match a run that hands every pair to it
+    from multishift import oracle
+
+    monkeypatch.delenv("MULTISHIFT_BUDGET", raising=False)
+    grid_init = oracle._PairGrid.__init__
+
+    def all_unsure(self, *args):
+        grid_init(self, *args)
+        self.unsure = self.full
+
+    def outcome(path):
+        code, out, err = run(capsys, "campaign", "--spec", str(path))
+        return code, out, [ln for ln in err.splitlines() if not ln.startswith("elapsed:")]
+
+    codes = {}
+    for cls, comp in (("cofinite", [1, 2]), ("cofinite", [3]), ("thick", [1, 4, 9, 16, 25]), ("thick", [2, 5, 11, 17])):
+        path = tmp_path / f"{cls}-{comp[0]}.json"
+        data = {"kind": "spacing", "class": cls, "complement": comp}
+        path.write_text(json.dumps(data if horizon is None else {**data, "horizon": horizon}))
+        fast = outcome(path)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle._PairGrid, "__init__", all_unsure)
+            assert fast == outcome(path), (cls, comp, horizon)
+        codes[cls, comp[0]] = fast[0], fast[2]
+    # the thick spec with banned gap 2 fails its directional check the same way on both paths
+    failure = (
+        (1, ["error: position 21 exceeds horizon 20"])
+        if horizon == 20
+        else (2, ["error: a prefix of 4194304 symbols exceeds the prefix cap 1048576"])
+    )
+    assert codes == {("cofinite", 1): (0, []), ("cofinite", 3): (0, []), ("thick", 1): (0, []), ("thick", 2): failure}
+
+
 def test_dim(capsys):
     code, out, _ = run(capsys, "dim", "--terms", "40")
     assert code == 0

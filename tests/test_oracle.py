@@ -278,6 +278,52 @@ def test_pair_probe_matches_merged_constraints():
     assert divisible == {True, False}
 
 
+def test_pair_grid_matches_pair_probes():
+    # depths(m, width)[e] holds pair i * N + j = (pats[i], pats[j]) iff the lazy engine accepts
+    # it at (m, e); the patterns include u's with an inadmissible chain and a v on chain 29,
+    # which no u's target chain ever carries
+    from multishift.mult_shift import inadmissible_classes
+    from multishift.oracle import _PairGrid, _PairProbe
+
+    rng = random.Random(2222)
+    seen = set()
+    for trial in range(48):
+        l = (2, 3, 4, 6)[trial % 4]
+        if trial % 3 == 2:
+            spec = spacing(rng.choice(["cofinite", "thick"]), rng.sample(range(1, 10), rng.randint(1, 4)))
+        else:
+            spec = _random_sft(rng, rng.choice([2, 3]))
+        if not blocks(spec, 1):
+            continue
+        a = spec.alphabet
+        pats, bad = [], []
+        for _ in range(200):
+            p = Pattern.make({q: rng.randrange(a) for q in rng.sample(range(1, 13), rng.randint(1, 4))}, l, spec)
+            if inadmissible_classes(p):
+                bad = bad or [p]
+            elif len(pats) < 6:
+                pats.append(p)
+            if bad and len(pats) == 6:
+                break
+        pats += bad + [Pattern.make({29: rng.randrange(a)}, l, spec)]
+        rng.shuffle(pats)
+        grid = _PairGrid(spec, l, pats)
+        probes = [_PairProbe(spec, l, u, v) for u in pats for v in pats]
+        for m in range(1, 13):
+            for width in (rng.randint(1, 19), 20):  # a narrow read first, then a wider one
+                depths = grid.depths(m, width)
+                for e in range(width):
+                    expected = sum(1 << i for i, probe in enumerate(probes) if probe.decide(m, e))
+                    assert depths[e] == expected, (spec, l, m, e)
+                    seen.add("some" if 0 < expected < grid.full else "all or none")
+        assert grid.unsure == 0
+        seen.add(type(spec).__name__)
+        seen.add(f"l = {l}")
+        if bad:
+            seen.add("inadmissible u")
+    assert seen == {"some", "all or none", "SftSpec", "SpacingSpec", "inadmissible u", "l = 2", "l = 3", "l = 4", "l = 6"}
+
+
 def test_offset_tables_are_kept_per_spec():
     # same fibers, different forbidden sets: a 1 at depths 1 (u) and 2 (v) of chain 1
     from multishift.oracle import _PairProbe
@@ -304,14 +350,21 @@ def test_target_chains_are_injective(l):
 
 
 def test_campaign_row_probes_match_public_probes():
-    # a campaign row reads one engine per pattern pair through the inner probes; the public
-    # wrappers build their own engines per call, so the two paths must aggregate alike
-    from multishift.oracle import _campaign_row, x_block_patterns
+    # a campaign row decides every pattern pair at once on a pair grid; the references decide
+    # one pair at a time on lazy engines (transitive: _PairProbe.decide over _alpha_k_order,
+    # directional: the public probe), so the two paths must aggregate alike
+    from multishift.oracle import _alpha_k_order, _campaign_row, _never_witnessable_proof, _PairProbe, x_block_patterns
 
     def aggregate(statuses):
         if all(s == "witnessed" for s in statuses):
             return "witnessed"
         return "proved_negative" if "proved_negative" in statuses else "inconclusive_negative"
+
+    def transitive_status(spec, l, u, v, budget):
+        probe = _PairProbe(spec, l, u, v)
+        if any(probe.decide(alpha, k) for alpha, k in _alpha_k_order(l, budget)):
+            return "witnessed"
+        return "inconclusive_negative" if _never_witnessable_proof(spec, l, u, v) is None else "proved_negative"
 
     rng = random.Random(909)
     specs = [s for s in dedupe_by_language(binary_sft_family(2)) if blocks(s, 1)][:14]
@@ -325,7 +378,7 @@ def test_campaign_row_probes_match_public_probes():
         l = (2, 3)[i % 2]
         row = _campaign_row(spec, l, budget)
         pats = x_block_patterns(spec, l, budget.pair_length_bound)
-        expected = {"transitive": probe_transitive_X(spec, l, budget).status}
+        expected = {"transitive": aggregate([transitive_status(spec, l, u, v, budget) for u in pats for v in pats])}
         for label, q in (("directional_l", l), ("directional_l2", l * l)):
             statuses = [probe_directional_q(spec, l, q, u, v, budget).status for u in pats for v in pats]
             expected[label] = aggregate(statuses)
@@ -337,21 +390,31 @@ def test_campaign_row_probes_match_public_probes():
 
 def test_campaign_directional_sweep_stops_at_first_proof(monkeypatch):
     # sft(2, ["01"]) at l = 2 has 19 patterns (361 pairs); pair 1 is already a proved
-    # negative at q = 2 and at q = 4, so a row probes a handful of pairs per modulus
+    # negative at q = 2 and at q = 4, so a row runs a handful of all-k proof searches per
+    # modulus and builds a handful of lazy engines, where a sweep past the first proof runs
+    # one per failing pair
     from multishift import oracle
 
     spec, budget = RAMP, SearchBudget()
-    inner, calls = oracle._directional, []
+    proof, calls = oracle._forall_k_proof, []
+    engine, built = oracle._PairProbe, []
 
-    def counted(probe, q, budget):
-        calls.append(q)
-        return inner(probe, q, budget)
+    def counted_proof(probe, alpha, n):
+        calls.append(n)
+        return proof(probe, alpha, n)
 
-    monkeypatch.setattr(oracle, "_directional", counted)
+    def counted_engine(*args):
+        built.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(oracle, "_forall_k_proof", counted_proof)
+    monkeypatch.setattr(oracle, "_PairProbe", counted_engine)
     row = oracle._campaign_row(spec, 2, budget)
+    monkeypatch.undo()
     pats = oracle.x_block_patterns(spec, 2, budget.pair_length_bound)
     assert len(pats) ** 2 == 361
-    assert 0 < calls.count(2) <= 5 and 0 < calls.count(4) <= 5
+    assert 0 < calls.count(1) <= 5 and 0 < calls.count(2) <= 5 and len(calls) <= 10
+    assert 0 < len(built) <= 10
     for label, q in (("directional_l", 2), ("directional_l2", 4)):
         statuses = [probe_directional_q(spec, 2, q, u, v, budget).status for u in pats for v in pats]
         assert statuses.index("proved_negative") == 1

@@ -285,6 +285,73 @@ def test_offset_tables_on_gap_sets_keep_the_direct_check():
         table[20]
 
 
+def _direct_offset(spec, static, moving, r):
+    shifted = [(p + r, sym) for p, sym in moving]
+    pinned = dict(static)
+    if any(pinned.get(p, sym) != sym for p, sym in shifted):
+        return False
+    return partial_extendable(spec, static + tuple(shifted))
+
+
+def test_offset_table_bits_match_direct_walk():
+    # bits(n) reads a head and one period of the static orbit, then repeats the period; every
+    # width, through three periods past the head, must agree offset by offset with the direct
+    # decider, a pin clash counting as False
+    rng = random.Random(2020)
+    seen = set()
+    for _ in range(70):
+        alphabet = rng.randint(2, 4)
+        symbols = "0123456789"[:alphabet]
+        words = ["".join(rng.choices(symbols, k=rng.randint(2, 3))) for _ in range(rng.randint(0, 2))]
+        for a in symbols:  # mostly one or two successors per symbol: periodic and transient window graphs
+            keep = rng.sample(symbols, rng.choice((1, 2, alphabet)))
+            words += [a + b for b in symbols if b not in keep]
+        spec = sft(alphabet, words)
+        for _ in range(6):
+            static = _random_pins(rng, alphabet, rng.randint(0, 3), 6)
+            moving = _random_pins(rng, alphabet, rng.randint(1, 3), 8)
+            orbit = static_orbit(spec, static)
+            r0 = orbit.origin + 1 - moving[0][0]  # the first offset read off the orbit
+            head = max(0, r0 + orbit.preperiod)
+            n = head + 3 * orbit.period + rng.randint(1, 4)
+            expected = sum(1 << r for r in range(n) if _direct_offset(spec, static, moving, r))
+            table = offset_table(spec, static, moving)
+            for width in (rng.randint(0, n), n, 0, head, 1):
+                assert table.bits(width) == expected & ((1 << width) - 1), (spec, static, moving, width)
+            seen.add("r0 < 0" if r0 < 0 else "r0 >= 0")
+            seen.add("period > 1" if orbit.period > 1 else "period 1")
+            seen.add("head" if head else "no head")
+            if not orbit.states[0]:
+                seen.add("static side unsatisfiable")
+            elif 0 < expected < (1 << n) - 1:
+                seen.add("mixed")
+    assert seen == {
+        "r0 < 0", "r0 >= 0", "period > 1", "period 1", "head", "no head", "static side unsatisfiable", "mixed",
+    }
+
+
+def test_offset_table_bits_on_gap_sets():
+    # gap-set tables read every offset; a lookup at or past ``reach`` may raise, none before it does
+    rng = random.Random(2121)
+    raised = 0
+    for _ in range(60):
+        horizon = rng.choice([12, 20, 40, shift_core.DEFAULT_HORIZON])
+        spec = spacing(rng.choice(["cofinite", "thick"]), rng.sample(range(1, 15), rng.randint(0, 5)), horizon)
+        static = _random_pins(rng, 2, rng.randint(0, 3), 6)
+        moving = _random_pins(rng, 2, rng.randint(1, 3), 8)
+        table = offset_table(spec, static, moving)
+        n = min(30, table.reach)
+        expected = sum(1 << r for r in range(n) if _direct_offset(spec, static, moving, r))
+        assert table.bits(n) == expected, (spec, static, moving)
+        assert table.reach == horizon + 1 - moving[-1][0]
+        if table.reach < 30:
+            if all(dict(static).get(p + table.reach, sym) == sym for p, sym in moving):  # no clash
+                with pytest.raises(HorizonExceeded):
+                    table[table.reach]
+                raised += 1
+    assert raised > 5
+
+
 # --- deciders ----------------------------------------------------------------
 
 
@@ -389,6 +456,21 @@ def test_window_graph_structure_on_715_windows():
     dead = _dead_windows(g)
     assert dead == [v for v in g.vertices if v.startswith("0")] and len(dead) == 220
     assert elapsed < 0.5, f"five decide calls took {elapsed:.2f} s of CPU"
+
+
+def test_components_in_time_linear_in_the_edges():
+    # the same points, now never holding 0 seven times running: 5,005 windows, each its own
+    # component; one walk over the edges takes a few milliseconds of CPU, where a forward and a
+    # backward closure per component takes about half a second
+    spec = sft(10, [f"{b}{a}" for b in range(10) for a in range(b)] + ["0" * 7])
+    shift_core._CONTEXTS.pop(spec, None)
+    g = build_graph(spec)
+    start = time.process_time()
+    verdict = decide(spec, "transitive")
+    elapsed = time.process_time() - start
+    assert len(g) == 5005
+    assert verdict.evidence.endswith("has 5005 strongly connected component(s)")
+    assert elapsed < 0.1, f"deciding took {elapsed:.2f} s of CPU"
 
 
 # --- connectors ---------------------------------------------------------------
