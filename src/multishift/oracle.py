@@ -266,10 +266,10 @@ class _PairGrid:
     has bit e.  Pairs whose v has no chain c are free on c.
 
     A gap-set lookup past the horizon raises, and the grid reads offsets
-    the lazy path may never read.  So the grid reads no table past its
-    ``reach``: the pairs that table serves join ``unsure``, which
-    ``left_out`` hands to the lazy engine whatever the masks say.  Their
-    callers then read what the lazy path reads, and raise where it raises.
+    the lazy path may never read.  So on a gap-set spec the grid reads no
+    table: every pair is ``unsure``, and ``left_out`` hands it to the lazy
+    engine whatever the masks say.  Its callers then read what the lazy
+    path reads, and raise where it raises.
 
     The grid serves the callers that ask about every pair of a list; it
     is not a second engine for the lazy one to fold into.  Single probes
@@ -285,7 +285,7 @@ class _PairGrid:
         n = self.n = len(pats)
         self.full = (1 << n * n) - 1
         self.tables = shift_core.offset_tables(omega)
-        self.unsure = 0
+        self.unsure = self.full if self.tables.ctx.graph is None else 0
         # u's by length, as (alpha1, k1, [(spread bit of u, u's fibers)]); u's with an inadmissible class drop out
         by_length: dict[int, list] = {}
         self.good = 0
@@ -305,7 +305,12 @@ class _PairGrid:
         self._depths: dict[int, list[int]] = {}
 
     def depths(self, m: int, width: int) -> list[int]:
-        """Per depth e < width, the mask of pairs accepted at the multiplier |u| * m * l**e (kept per m)."""
+        """Per depth e < width, the mask of pairs accepted at the multiplier |u| * m * l**e (kept per m).
+
+        Unsure pairs are in no mask.
+        """
+        if self.unsure == self.full:
+            return [0] * width
         out = self._depths.get(m)
         if out is not None and len(out) >= width:
             return out
@@ -322,11 +327,7 @@ class _PairGrid:
                 for ufib, uspread in u_groups.items():
                     by_row: dict[int, int] = {}
                     for vfib, vmask in v_groups.items():
-                        table, reach = self.tables[ufib, vfib], base + width
-                        if table.reach is not None and table.reach < reach:
-                            self.unsure |= vmask * uspread
-                            reach = table.reach
-                        row = table.bits(reach) >> base
+                        row = self.tables[ufib, vfib].bits(base + width) >> base
                         if row:
                             by_row[row] = by_row.get(row, 0) | vmask
                     for row, vmask in by_row.items():

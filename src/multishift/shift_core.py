@@ -441,12 +441,9 @@ class _OffsetTable(dict):
     the moving pins at their relative places (memoized per spec).  That
     walk is exactly the tail of the direct one, which is unconstrained
     from P0 + 1 to P.  Other offsets, and gap-set spaces, walk directly.
-
-    ``reach`` is the least offset whose lookup may raise HorizonExceeded
-    (a gap-set pin past the horizon), or None where no lookup raises.
     """
 
-    __slots__ = ("ctx", "static", "moving", "first", "reach", "cycle")
+    __slots__ = ("ctx", "static", "moving", "first", "cycle")
 
     def bits(self, n: int) -> int:
         """The mask of the offsets r < n where ``self[r]`` holds.
@@ -497,14 +494,7 @@ class _OffsetTables(dict):
         table = self[key] = _OffsetTable()
         table.ctx, (table.static, table.moving) = self.ctx, key
         table.first = min((pos for pos, _ in table.moving), default=0)
-        table.cycle = table.reach = None
-        spec = self.ctx.spec
-        if isinstance(spec, SpacingSpec) and (table.static or table.moving):
-            # a lookup without clashing pins raises once its deepest pin passes the horizon
-            if max((pos for pos, _ in table.static), default=0) > spec.horizon:
-                table.reach = 0
-            elif table.moving:
-                table.reach = max(0, spec.horizon + 1 - max(pos for pos, _ in table.moving))
+        table.cycle = None
         return table
 
 

@@ -271,8 +271,8 @@ def test_campaign_smoke(capsys, tmp_path, golden_spec, ramp_spec):
 @pytest.mark.parametrize("horizon", [20, 30, None])
 def test_campaign_gap_set_rows_match_the_lazy_path_near_the_horizon(capsys, tmp_path, monkeypatch, horizon):
     # a row's pair grid reads offsets the lazy engine may never read, and a gap-set lookup past
-    # the horizon raises; the grid hands the pairs it cannot read to the lazy engine, so rows,
-    # table, exit code and error match a run that hands every pair to it
+    # the horizon raises; on a gap-set spec the grid reads no table and hands every pair to the
+    # lazy engine, so rows, table, exit code and error match a run that marks every pair unsure
     from multishift import oracle
 
     monkeypatch.delenv("MULTISHIFT_BUDGET", raising=False)

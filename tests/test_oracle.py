@@ -18,7 +18,7 @@ from multishift.oracle import (
     random_sft_family,
     verify_certificate,
 )
-from multishift.shift_core import blocks, partial_extendable, sft, spacing
+from multishift.shift_core import SpacingSpec, blocks, partial_extendable, sft, spacing
 
 GOLDEN = sft(2, ["11"])
 RAMP = sft(2, ["01"])
@@ -281,7 +281,8 @@ def test_pair_probe_matches_merged_constraints():
 def test_pair_grid_matches_pair_probes():
     # depths(m, width)[e] holds pair i * N + j = (pats[i], pats[j]) iff the lazy engine accepts
     # it at (m, e); the patterns include u's with an inadmissible chain and a v on chain 29,
-    # which no u's target chain ever carries
+    # which no u's target chain ever carries. On gap-set specs the grid reads no table (a
+    # lookup past the horizon raises): every pair is unsure and goes to the lazy engine
     from multishift.mult_shift import inadmissible_classes
     from multishift.oracle import _PairGrid, _PairProbe
 
@@ -309,6 +310,12 @@ def test_pair_grid_matches_pair_probes():
         rng.shuffle(pats)
         grid = _PairGrid(spec, l, pats)
         probes = [_PairProbe(spec, l, u, v) for u in pats for v in pats]
+        seen.add(type(spec).__name__)
+        if isinstance(spec, SpacingSpec):
+            assert grid.unsure == grid.full
+            assert grid.depths(1, 20) == [0] * 20
+            assert [(p.u, p.v) for p in grid.left_out(grid.full)] == [(p.u, p.v) for p in probes]
+            continue
         for m in range(1, 13):
             for width in (rng.randint(1, 19), 20):  # a narrow read first, then a wider one
                 depths = grid.depths(m, width)
@@ -317,7 +324,7 @@ def test_pair_grid_matches_pair_probes():
                     assert depths[e] == expected, (spec, l, m, e)
                     seen.add("some" if 0 < expected < grid.full else "all or none")
         assert grid.unsure == 0
-        seen.add(type(spec).__name__)
+        assert not list(grid.left_out(grid.full))
         seen.add(f"l = {l}")
         if bad:
             seen.add("inadmissible u")
