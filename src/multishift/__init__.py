@@ -22,11 +22,8 @@ from .errors import (
 )
 from .lambda_arith import (
     Decomposition,
-    LambdaClass,
     OffsetBound,
     a_set,
-    class_image,
-    class_of,
     decompose,
     offset_bound,
     offset_of,
@@ -37,11 +34,9 @@ from .mult_shift import (
     assemble,
     count_blocks,
     enumerate_blocks,
-    fiber,
     format_pattern,
     is_admissible,
     parse_pattern,
-    pi_positions,
 )
 from .oracle import (
     CampaignReport,
@@ -62,20 +57,17 @@ from .shift_core import (
     SpacingSpec,
     blocks,
     build_graph,
-    connector_gaps,
     decide,
     graph_dot,
     mixing_gap_index,
     partial_extendable,
     sft,
-    simultaneous_connector,
     spacing,
     spec_from_dict,
     spec_to_dict,
 )
 from .witness import (
     WitnessCertificate,
-    extract_fiber_point,
     witness_directional_coprime,
     witness_directional_power,
     witness_mixing,

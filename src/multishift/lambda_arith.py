@@ -15,12 +15,9 @@ from typing import NamedTuple
 
 __all__ = [
     "Decomposition",
-    "LambdaClass",
     "OffsetBound",
     "OffsetShift",
     "a_set",
-    "class_image",
-    "class_of",
     "decompose",
     "factorization",
     "is_prime",
@@ -73,48 +70,6 @@ def valuation(n: int, p: int) -> int:
         n //= p
         e += 1
     return e
-
-
-@dataclass(frozen=True)
-class LambdaClass:
-    """The chain {representative * base**k} of positive integers.
-
-    The representative is the least member, i.e. the base-free part of
-    every member.
-    """
-
-    representative: int
-    base: int
-
-    def member(self, depth: int) -> int:
-        if depth < 1:
-            raise ValueError("chain depth starts at 1")
-        return self.representative * self.base ** (depth - 1)
-
-    def depth_of(self, position: int) -> int:
-        d = decompose(position, self.base)
-        if d.alpha != self.representative:
-            raise ValueError(f"{position} is not on the chain of {self.representative}")
-        return d.k + 1
-
-
-def class_of(n: int, l: int) -> LambdaClass:
-    """Chain class containing ``n``."""
-    return LambdaClass(decompose(n, l).alpha, l)
-
-
-def class_image(alpha: int, i: int, l: int) -> LambdaClass:
-    """Chain class containing alpha times the chain of ``i``.
-
-    For prime ``l`` the image is the whole class of ``alpha * i``; for
-    composite ``l`` it is the class containing that product.
-    """
-    _check_base(l)
-    if alpha % l == 0:
-        raise ValueError(f"multiplier {alpha} is divisible by the base {l}")
-    if i % l == 0:
-        raise ValueError(f"{i} is not a class representative for base {l}")
-    return class_of(alpha * i, l)
 
 
 def xi(length: int, l: int) -> int:

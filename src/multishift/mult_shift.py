@@ -30,15 +30,12 @@ __all__ = [
     "chain_words",
     "count_blocks",
     "enumerate_blocks",
-    "extract_fiber_point",
-    "fiber",
     "format_pattern",
     "inadmissible_classes",
     "is_admissible",
     "least_block",
     "multiplier_constraints",
     "parse_pattern",
-    "pi_positions",
 ]
 
 ENUMERATION_GUARD = 10_000_000
@@ -108,10 +105,6 @@ class Pattern:
         return cls(tuple((i + 1, int(c)) for i, c in enumerate(word)), base, omega)
 
     @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.entries)
-
-    @property
     def length(self) -> int:
         return self.entries[-1][0]
 
@@ -133,24 +126,6 @@ class Pattern:
                 groups.setdefault(d.alpha, []).append((d.k + 1, sym))
             object.__setattr__(self, "_fibers", {rep: tuple(sorted(cons)) for rep, cons in sorted(groups.items())})
         return self._fibers
-
-
-def fiber(u: Pattern, rep: int) -> tuple[tuple[int, int], ...]:
-    """Partial base-space word read along the chain of ``rep``.
-
-    Depth j corresponds to position rep * base**(j-1); only constrained
-    chain positions are listed, so the result may have gaps.
-    """
-    if rep % u.base == 0:
-        raise ValueError(f"{rep} is not a chain representative for base {u.base}")
-    return u.fibers().get(rep, ())
-
-
-def pi_positions(q: int, support: Iterable[int]) -> frozenset[int]:
-    """Support of a pattern after the index-scaling map x -> x_{q i}."""
-    if q < 1:
-        raise ValueError("scaling factor must be >= 1")
-    return frozenset(q * s for s in support)
 
 
 def is_admissible(u: Pattern) -> bool:
@@ -192,7 +167,7 @@ def assemble(fibers: Mapping[int, str], l: int, length: int) -> str:
     """Build the block whose chain fibers are the given base-space words.
 
     Every base-free representative up to ``length`` needs a word covering
-    its chain; ``extract_fiber_point`` reads the inputs back.
+    its chain.
     """
     if length < 1:
         raise ValueError("block length must be >= 1")
@@ -209,28 +184,8 @@ def assemble(fibers: Mapping[int, str], l: int, length: int) -> str:
     return "".join(chars)
 
 
-def extract_fiber_point(y: str, rep: int, l: int, start_depth: int = 1) -> str:
-    """Contiguous base-space word read along one chain of a block: the inverse of ``assemble``.
-
-    ``start_depth`` shifts the chain start, implementing the inverse
-    fiber extraction x_i = y at rep * l**(start_depth + i - 2).
-    """
-    if rep % l == 0:
-        raise ValueError(f"{rep} is not a chain representative for base {l}")
-    if start_depth < 1:
-        raise ValueError("start depth begins at 1")
-    out = []
-    pos = rep * l ** (start_depth - 1)
-    if pos > len(y):
-        raise ValueError(f"chain position {pos} exits the covered prefix of length {len(y)}")
-    while pos <= len(y):
-        out.append(y[pos - 1])
-        pos *= l
-    return "".join(out)
-
-
 def chain_words(prefix: str, l: int) -> set[str]:
-    """The distinct contiguous chain words of a block: ``extract_fiber_point`` over every chain, a level at a time.
+    """The distinct contiguous chain words of a block (each chain read from depth 1), a level at a time.
 
     The chains of length exactly t have the base-free representatives r
     with n // l**t < r <= n // l**(t-1).  Those with r = c (mod l) put

@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import mult_shift, shift_core, witness as witness_mod
-from .errors import ConnectorNotFound, PreconditionFailed, UndecidableProperty
+from .errors import ConnectorNotFound, OutputGuardExceeded, PreconditionFailed, UndecidableProperty
 from .lambda_arith import a_set, decompose, product_offset_bound
 from .mult_shift import Pattern, multiplier_constraints, parse_pattern
-from .shift_core import PROPERTIES, SftSpec, ShiftSpec, SpacingSpec, sft, spec_to_dict, word_pins
+from .shift_core import PROPERTIES, SftSpec, ShiftSpec, sft, spec_to_dict, word_pins
 from .witness import WitnessCertificate, try_certificate
 
 __all__ = [
@@ -359,28 +359,23 @@ class _PairGrid:
 def _forall_k_proof(probe: _PairProbe, alpha: int, n: int) -> Optional[dict]:
     """Proof that no depth k admits a witness at the multipliers |u| * alpha * l**(n*k), or None.
 
-    Only for finite-type base spaces: per chain, the state sets reachable
-    after the static constraints evolve periodically under unconstrained
-    steps, so feasibility in k is eventually periodic with period
-    dividing the orbit period.  An infeasible sweep over one full period
-    past every preperiod is therefore conclusive for all k.
+    Only for finite-type base spaces: each chain's offset table repeats
+    with some period from some start on (``_OffsetTable.periodicity``),
+    and depth k reads it at offset base + n*k, so past the start its
+    feasibility is periodic in k with period period / gcd(n, period).  An
+    infeasible sweep over one full period past every start is therefore
+    conclusive for all k.
     """
-    omega = probe.omega
-    if not isinstance(omega, SftSpec):
+    if not isinstance(probe.omega, SftSpec):
         return None
     k_star = 0
     periods = []
-    for target, base, cons, _ in probe._target_layout(alpha):
-        # the orbit the chain's offset table reads past the static pins, from S(P0) at P0 = orbit.origin
-        orbit = shift_core.static_orbit(omega, probe.u_groups.get(target, ()))
-        if not orbit.states[0]:
+    for _, base, _, table in probe._target_layout(alpha):
+        if not probe.tables[(), table.static][0]:
             return None  # static side already unsatisfiable (or no windows): caller's problem
-        d_min = min(d for d, _ in cons)
-        # least k with the dynamic block strictly past the static part and the orbit settled
-        need = orbit.origin + orbit.preperiod + 1
-        k_min = max(0, -((base + d_min - need) // n))
-        k_star = max(k_star, k_min)
-        periods.append(orbit.period // math.gcd(n, orbit.period))
+        start, period = table.periodicity()
+        k_star = max(k_star, -((base - start) // n))  # least k with base + n*k >= start
+        periods.append(period // math.gcd(n, period))
     if not periods:
         return None
     cycle = math.lcm(*periods)
@@ -805,6 +800,7 @@ def _nonextensible_refutation(spec: ShiftSpec, l: int):
 
 def _check_directional(row, spec, l, budget, pats, grid) -> None:
     wm = row.omega_verdicts["weakly_mixing"]
+    capped = False  # a cover past the prefix cap refutes nothing, and proves nothing either
     for label, n in (("directional_l", 1), ("directional_l2", 2)):
         alphas, width = a_set(l**n, budget.alpha_bound), n * budget.k_bound + 1
         witnessed = 0  # pairs with one depth k that every alpha accepts
@@ -846,6 +842,9 @@ def _check_directional(row, spec, l, budget, pats, grid) -> None:
                     )
                     row.checks["directional"] = "fail"
                     return
+                except OutputGuardExceeded as exc:
+                    capped = True
+                    row.notes.append(f"{label}: no cover for a pair not witnessed within the budget: {exc}")
         else:
             if row.x_probes[label] == "witnessed":
                 row.notes.append(f"{label}: every budgeted pair connected; counterexample outside the family")
@@ -863,7 +862,7 @@ def _check_directional(row, spec, l, budget, pats, grid) -> None:
                     return
                 for cert in dw.certificates:
                     _record_cert(row, spec, l, cert, "directional")
-        row.checks["directional"] = "pass"
+        row.checks["directional"] = "inconclusive" if capped else "pass"
     else:
         if row.x_probes["directional_l"] == "proved_negative" or row.x_probes["directional_l2"] == "proved_negative":
             row.checks["directional"] = "pass"

@@ -20,7 +20,6 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
     HorizonExceeded,
-    InadmissiblePattern,
     OutputGuardExceeded,
     PreconditionFailed,
     SpecError,
@@ -39,14 +38,12 @@ __all__ = [
     "alphabet_of",
     "blocks",
     "build_graph",
-    "connector_gaps",
     "decide",
     "graph_dot",
     "least_word",
     "mixing_gap_index",
     "partial_extendable",
     "sft",
-    "simultaneous_connector",
     "spacing",
     "spec_from_dict",
     "spec_to_dict",
@@ -445,26 +442,34 @@ class _OffsetTable(dict):
 
     __slots__ = ("ctx", "static", "moving", "first", "cycle")
 
+    def periodicity(self) -> tuple[int, int]:
+        """(start, period): from offset ``start`` on, ``self[r]`` repeats with period ``period``.
+
+        For a finite-type table with moving pins.  The offsets r >= r0 =
+        origin + 1 - first are read off the static orbit at step r - r0, as
+        ``__missing__`` reads them, so they repeat with the orbit's period
+        from max(0, r0 + preperiod) on.
+        """
+        orbit = _static_orbit(self.ctx, self.static)
+        return max(0, orbit.origin + 1 - self.first + orbit.preperiod), orbit.period
+
     def bits(self, n: int) -> int:
         """The mask of the offsets r < n where ``self[r]`` holds.
 
-        On a finite-type table with moving pins, the offsets r >= r0 =
-        origin + 1 - first are read off the static orbit at step r - r0, as
-        ``__missing__`` reads them, so they repeat with the orbit's period
-        from max(0, r0 + preperiod) on.  The head before that and one
-        period are each read once through lookups; any width is then the
-        head and the period repeated.  Other tables read every offset.
+        On a finite-type table with moving pins, the head before
+        ``periodicity()``'s start and one period are each read once through
+        lookups; any width is then the head and the period repeated.
+        Other tables read every offset.
         """
         if n <= 0:
             return 0
         if self.ctx.graph is None or not self.moving:
             return sum(1 << r for r in range(n) if self[r])
         if self.cycle is None:
-            orbit = _static_orbit(self.ctx, self.static)
-            start = max(0, orbit.origin + 1 - self.first + orbit.preperiod)
+            start, period = self.periodicity()
             head = sum(1 << r for r in range(start) if self[r])
-            cycle = sum(1 << i for i in range(orbit.period) if self[start + i])
-            self.cycle = head, cycle, start, orbit.period
+            cycle = sum(1 << i for i in range(period) if self[start + i])
+            self.cycle = head, cycle, start, period
         head, cycle, start, period = self.cycle
         if n > start:
             reps = -(-(n - start) // period)
@@ -584,14 +589,6 @@ class _Orbit:
         if step >= len(self.states):
             step = self.preperiod + (step - self.preperiod) % self.period
         return self.states[step]
-
-
-def static_orbit(spec: ShiftSpec, static: tuple) -> _Orbit:
-    """The orbit of S(P0), a finite-type walk's state set after the ``static`` (depth, symbol) pins.
-
-    P0 = max(window, static depths) is its ``origin``.  Kept per spec, beside the offset tables.
-    """
-    return _static_orbit(_ctx(spec), static)
 
 
 def _static_orbit(ctx: _Ctx, static: tuple) -> _Orbit:
@@ -866,36 +863,6 @@ def _decide_spacing(spec: SpacingSpec, prop: str) -> PropertyVerdict:
 
 # ---------------------------------------------------------------------------
 # connectors
-
-
-def _require_admissible_word(spec: ShiftSpec, word: str, name: str) -> None:
-    if not word or any(ch not in _DIGITS[: alphabet_of(spec)] for ch in word):
-        raise InadmissiblePattern(f"{name}={word!r} uses symbols outside the alphabet")
-    if not word_admissible(spec, word):
-        raise InadmissiblePattern(f"{name}={word!r} is not an admissible word")
-
-
-def connector_gaps(spec: ShiftSpec, u: str, v: str, bound: int) -> set[int]:
-    """Gaps m <= bound at which some point carries u as a prefix and v after the gap."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    _require_admissible_word(spec, u, "u")
-    _require_admissible_word(spec, v, "v")
-    table = offset_table(spec, word_pins(u), word_pins(v))
-    return {m for m in range(1, bound + 1) if table[len(u) + m]}
-
-
-def simultaneous_connector(
-    spec: ShiftSpec, pairs: Sequence[tuple[str, str]], bound: int
-) -> Optional[int]:
-    """Smallest gap m <= bound usable by every pair at once, if any."""
-    common: Optional[set[int]] = None
-    for u, v in pairs:
-        gaps = connector_gaps(spec, u, v, bound)
-        common = gaps if common is None else common & gaps
-        if not common:
-            return None
-    return min(common) if common else None
 
 
 def mixing_gap_index(spec: ShiftSpec) -> int:

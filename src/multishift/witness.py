@@ -31,7 +31,6 @@ from .lambda_arith import a_set, decompose, factorization, next_prime_avoiding, 
 from .mult_shift import (
     Pattern,
     chain_words,
-    extract_fiber_point,
     format_pattern,
     least_block,
     multiplier_constraints,
@@ -46,7 +45,6 @@ __all__ = [
     "WitnessCertificate",
     "certificate_to_dict",
     "certificate_from_dict",
-    "extract_fiber_point",
     "try_certificate",
     "witness_directional_coprime",
     "witness_directional_power",

@@ -122,6 +122,15 @@ def brute_connector_gaps(spec, u: str, v: str, bound: int) -> set[int]:
     return out
 
 
+def extract_fiber_point(y: str, rep: int, l: int) -> str:
+    """The word a block carries along the chain rep, rep * l, rep * l**2, ..., read off the string."""
+    out, pos = [], rep
+    while pos <= len(y):
+        out.append(y[pos - 1])
+        pos *= l
+    return "".join(out)
+
+
 def naive_exists_witness(omega, l: int, u, v, alpha: int, k: int, depth_cap: int = 8) -> bool:
     """Reference for the exact witness oracle.
 

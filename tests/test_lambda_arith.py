@@ -3,8 +3,6 @@ from hypothesis import given, strategies as st
 
 from multishift.lambda_arith import (
     a_set,
-    class_image,
-    class_of,
     decompose,
     factorization,
     offset_bound,
@@ -35,12 +33,6 @@ def test_decompose_roundtrip(n, l):
     assert d.alpha % l != 0
 
 
-def test_class_of_pinned():
-    assert class_of(48, 2).representative == 3
-    assert class_of(7, 2).representative == 7
-    assert class_of(144, 6).representative == 4
-
-
 def test_class_partition():
     # chains of the base-free representatives tile [1, N] exactly once
     for l in (2, 3, 4, 6):
@@ -55,33 +47,6 @@ def test_class_partition():
                 seen[pos] = True
                 pos *= l
         assert all(seen[1:])
-
-
-def test_class_membership_helpers():
-    c = class_of(48, 2)
-    assert c.member(1) == 3
-    assert c.depth_of(48) == 5
-    with pytest.raises(ValueError):
-        c.depth_of(5)
-
-
-def test_class_image():
-    assert class_image(3, 1, 2).representative == 3
-    assert class_image(3, 2, 6).representative == 1
-    assert class_image(5, 3, 2).representative == 15
-    with pytest.raises(ValueError):
-        class_image(4, 1, 2)
-
-
-def test_class_image_moves_class():
-    for l in (2, 3, 6):
-        for alpha in range(2, 30):
-            if alpha % l == 0:
-                continue
-            for i in (1, 5, 7):
-                if i % l == 0:
-                    continue
-                assert class_image(alpha, i, l).representative != i
 
 
 def test_xi_pinned():

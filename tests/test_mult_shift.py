@@ -12,13 +12,11 @@ from multishift.mult_shift import (
     chain_positions,
     count_blocks,
     enumerate_blocks,
-    fiber,
     format_pattern,
     inadmissible_classes,
     is_admissible,
     multiplier_constraints,
     parse_pattern,
-    pi_positions,
 )
 from multishift.shift_core import blocks, partial_extendable, sft, spacing
 
@@ -29,19 +27,19 @@ THICK = spacing("thick", [3, 12, 102, 1002, 10002])
 
 def test_fiber_pinned():
     u = Pattern.block("1110010000010000", 2, THICK)
-    assert fiber(u, 3) == ((1, 1), (2, 1), (3, 1))  # positions 3, 6, 12
-    assert fiber(u, 1) == ((1, 1), (2, 1), (3, 0), (4, 0), (5, 0))  # 1, 2, 4, 8, 16
+    assert u.fibers().get(3, ()) == ((1, 1), (2, 1), (3, 1))  # positions 3, 6, 12
+    assert u.fibers().get(1, ()) == ((1, 1), (2, 1), (3, 0), (4, 0), (5, 0))  # 1, 2, 4, 8, 16
+    assert 4 not in u.fibers()  # a multiple of the base represents no chain
     single = Pattern.make({5: 0}, 2, GOLDEN)
-    assert fiber(single, 5) == ((1, 0),)
-    with pytest.raises(ValueError):
-        fiber(u, 4)
+    assert single.fibers().get(5, ()) == ((1, 0),)
+    assert single.fibers().get(3, ()) == ()
 
 
 def test_fiber_includes_exact_power_boundary():
     # position 16 sits on the chain of 1 inside a length-16 block
     u = Pattern.block("0" * 16, 2, GOLDEN)
     assert chain_positions(1, 16, 2) == [1, 2, 4, 8, 16]
-    assert fiber(u, 1) == ((1, 0), (2, 0), (3, 0), (4, 0), (5, 0))
+    assert u.fibers().get(1, ()) == ((1, 0), (2, 0), (3, 0), (4, 0), (5, 0))
 
 
 def test_fiber_constraints_view():
@@ -51,18 +49,6 @@ def test_fiber_constraints_view():
     assert cons[1] == ((1, 1),)
     assert cons[3] == ((1, 1), (2, 0))
     assert u.base == 2
-
-
-def test_pi_positions():
-    assert pi_positions(96, range(1, 9)) == frozenset(96 * i for i in range(1, 9))
-    assert pi_positions(1, {3, 7}) == frozenset({3, 7})
-    assert pi_positions(4, {1, 3}) == frozenset({4, 12})
-
-
-def test_pi_positions_semigroup():
-    s = frozenset({1, 2, 5})
-    for q, r in itertools.product((1, 2, 3, 6), repeat=2):
-        assert pi_positions(q, pi_positions(r, s)) == pi_positions(q * r, s)
 
 
 def test_is_admissible_pinned():

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -18,6 +19,7 @@ from multishift.oracle import (
     random_sft_family,
     verify_certificate,
 )
+from multishift import shift_core
 from multishift.shift_core import SpacingSpec, blocks, partial_extendable, sft, spacing
 
 GOLDEN = sft(2, ["11"])
@@ -428,15 +430,28 @@ def test_campaign_directional_sweep_stops_at_first_proof(monkeypatch):
         assert row.x_probes[label] == "proved_negative"
 
 
+def _orbit_periodicity(probe, alpha, n):
+    """(periodic_from_k, period) of an all-k proof, worked out from each chain's static orbit."""
+    ctx = shift_core._ctx(probe.omega)
+    k_star, periods = 0, []
+    for target, base, cons, _ in probe._target_layout(alpha):
+        orbit = shift_core._static_orbit(ctx, probe.u_groups.get(target, ()))
+        need = orbit.origin + orbit.preperiod + 1  # the dynamic block past the static part, the orbit settled
+        k_star = max(k_star, -((base + min(d for d, _ in cons) - need) // n))
+        periods.append(orbit.period // math.gcd(n, orbit.period))
+    return k_star, math.lcm(*periods)
+
+
 def test_directional_proof_is_first_provable_alpha():
     # _directional walks alpha in a_set order and stops at the first all-k proof; the
-    # reference lists every alpha that fails at each k <= k_bound first, then searches it
+    # reference lists every alpha that fails at each k <= k_bound first, then searches it.
+    # Each proof's start and period, read off the offset tables, match the static orbits.
     from multishift.lambda_arith import a_set
     from multishift.oracle import _directional, _forall_k_proof, _PairProbe, x_block_patterns
 
     rng = random.Random(1717)
     budget = SearchBudget(alpha_bound=9, k_bound=1, pair_length_bound=2)  # k_bound 1 leaves some inconclusive
-    proved = inconclusive = 0
+    proved = inconclusive = late = halved = 0  # late: a start past depth 0; halved: the gcd shortens a period
     for _ in range(150):
         spec = _random_sft(rng, rng.choice([2, 3]))
         if not blocks(spec, 1):
@@ -457,9 +472,14 @@ def test_directional_proof_is_first_provable_alpha():
                     proofs = (_forall_k_proof(probe, a, n) for a in always_failing)
                     expected = next((p for p in proofs if p is not None), None)
                     assert proof == expected, (spec, l, n, u.entries, v.entries)
+                    if proof is not None:
+                        periodicity = proof["periodic_from_k"], proof["period"]
+                        assert periodicity == _orbit_periodicity(probe, proof["alpha"], n), (spec, l, n)
+                        late += periodicity[0] > 0
+                        halved += periodicity[1] < _orbit_periodicity(probe, proof["alpha"], 1)[1]
                     proved += proof is not None
                     inconclusive += proof is None
-    assert proved > 100 and inconclusive > 0
+    assert proved > 100 and inconclusive > 0 and late and halved
 
 
 def test_probe_budget_monotone():
@@ -547,3 +567,16 @@ def test_campaign_parallel_matches_serial():
     serial = campaign(fam, [2], budget)
     parallel = campaign(fam, [2], budget, jobs=2)
     assert [r.to_dict() for r in serial.rows] == [r.to_dict() for r in parallel.rows]
+
+
+def test_acceptance_campaign_jsonl_is_pinned(monkeypatch):
+    # Parity pin for the acceptance campaign (`multishift campaign --random 200 --l 2,3`).  Its
+    # JSONL does not depend on PYTHONHASHSEED or on --jobs.  A change that alters any answer
+    # updates this digest and lists the rows that changed, with the reason, in CHANGES.md.
+    import hashlib
+
+    monkeypatch.delenv("MULTISHIFT_BUDGET", raising=False)
+    report = campaign(binary_sft_family(2) + random_sft_family(200, seed=20191030), [2, 3])
+    assert (len(report.rows), report.certificates_checked, len(report.hard_contradictions)) == (82, 3518, 0)
+    digest = hashlib.sha256(report.to_jsonl().encode()).hexdigest()
+    assert digest == "a7daace14e0e46a7eb11306343b1275285c768684784c966005873cf8e735c00"

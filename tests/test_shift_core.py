@@ -6,13 +6,12 @@ import time
 import pytest
 
 from brute import brute_connector_gaps, brute_extendable, brute_graph_structure, language
-from multishift.errors import HorizonExceeded, InadmissiblePattern, PreconditionFailed, SpecError, UndecidableProperty
+from multishift.errors import HorizonExceeded, PreconditionFailed, SpecError, UndecidableProperty
 from multishift.oracle import binary_sft_family, random_sft_family
 from multishift.shift_core import (
     PROPERTIES,
     blocks,
     build_graph,
-    connector_gaps,
     decide,
     graph_dot,
     least_word,
@@ -20,12 +19,11 @@ from multishift.shift_core import (
     offset_table,
     partial_extendable,
     sft,
-    simultaneous_connector,
     spacing,
     spec_from_dict,
     spec_to_dict,
-    static_orbit,
     word_admissible,
+    word_pins,
 )
 from multishift import shift_core
 
@@ -239,7 +237,7 @@ def test_offset_tables_match_direct_walk():
         for _ in range(6):  # several tables per spec share its tail memo
             static = _random_pins(rng, alphabet, rng.randint(0, 3), 6)
             moving = _random_pins(rng, alphabet, rng.randint(1, 3), 5)
-            orbit = static_orbit(spec, static)
+            orbit = shift_core._static_orbit(shift_core._ctx(spec), static)
             periodic += orbit.period > 1
             table = offset_table(spec, static, moving)
             pinned = dict(static)
@@ -261,7 +259,7 @@ def test_offset_table_caches_do_not_grow_with_the_offset():
     spec = sft(3, ["00", "02", "11", "12", "21", "22"])
     static, moving = ((1, 2),), ((1, 1), (2, 0))  # a 1 then a 0 at r + 1, r + 2: odd r + 1 >= 3
     table = offset_table(spec, static, moving)
-    orbit = static_orbit(spec, static)
+    orbit = shift_core._static_orbit(shift_core._ctx(spec), static)
     assert (orbit.origin, orbit.preperiod, orbit.period) == (1, 1, 2)
     assert table[10**6] is True and table[2] is True  # both read orbit step 1 (10**6 by its residue)
     assert len(orbit.states) == orbit.preperiod + orbit.period
@@ -310,7 +308,7 @@ def test_offset_table_bits_match_direct_walk():
         for _ in range(6):
             static = _random_pins(rng, alphabet, rng.randint(0, 3), 6)
             moving = _random_pins(rng, alphabet, rng.randint(1, 3), 8)
-            orbit = static_orbit(spec, static)
+            orbit = shift_core._static_orbit(shift_core._ctx(spec), static)
             r0 = orbit.origin + 1 - moving[0][0]  # the first offset read off the orbit
             head = max(0, r0 + orbit.preperiod)
             n = head + 3 * orbit.period + rng.randint(1, 4)
@@ -475,11 +473,17 @@ def test_components_in_time_linear_in_the_edges():
 # --- connectors ---------------------------------------------------------------
 
 
+def _connector_gaps(spec, u, v, bound):
+    """Gaps m <= bound at which v can follow u: v's pins at offset len(u) + m of one offset table."""
+    table = offset_table(spec, word_pins(u), word_pins(v))
+    return {m for m in range(1, bound + 1) if table[len(u) + m]}
+
+
 def test_connector_gaps_pinned():
-    assert connector_gaps(GOLDEN, "1", "1", 4) == {1, 2, 3, 4}
+    assert _connector_gaps(GOLDEN, "1", "1", 4) == {1, 2, 3, 4}
     # alternating points: positions 1 and m+2 must have equal parity values
-    assert connector_gaps(ALT, "0", "0", 4) == {1, 3}
-    assert connector_gaps(RAMP, "0", "1", 6) == set()
+    assert _connector_gaps(ALT, "0", "0", 4) == {1, 3}
+    assert _connector_gaps(RAMP, "0", "1", 6) == set()
 
 
 def test_connector_gaps_match_bruteforce():
@@ -487,22 +491,7 @@ def test_connector_gaps_match_bruteforce():
         for u, v in (("0", "1"), ("10", "01"), ("1", "10")):
             if not (word_admissible(spec, u) and word_admissible(spec, v)):
                 continue
-            assert connector_gaps(spec, u, v, 6) == brute_connector_gaps(spec, u, v, 6)
-
-
-def test_connector_rejects_inadmissible():
-    with pytest.raises(InadmissiblePattern):
-        connector_gaps(GOLDEN, "11", "0", 3)
-
-
-def test_simultaneous_connector():
-    assert simultaneous_connector(GOLDEN, [("1", "1"), ("0", "0")], 4) == 1
-    assert simultaneous_connector(ALT, [("0", "0"), ("0", "1")], 8) is None
-    sp = spacing("thick", [3, 12, 102, 1002])
-    m = simultaneous_connector(sp, [("11", "111"), ("111", "11")], 20)
-    assert m is not None
-    assert m in connector_gaps(sp, "11", "111", 20)
-    assert m in connector_gaps(sp, "111", "11", 20)
+            assert _connector_gaps(spec, u, v, 6) == brute_connector_gaps(spec, u, v, 6)
 
 
 def test_mixing_gap_index_pinned():

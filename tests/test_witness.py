@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from brute import extract_fiber_point
 from multishift.errors import InadmissiblePattern, NoCoprimePrime, PreconditionFailed
 from multishift.mult_shift import (
     Pattern,
@@ -19,7 +20,6 @@ from multishift.witness import (
     PREFIX_GUARD,
     certificate_from_dict,
     certificate_to_dict,
-    extract_fiber_point,
     prefix_fault,
     witness_directional_coprime,
     witness_directional_power,
@@ -289,14 +289,6 @@ def test_witness_mixing_refuses_inadmissible():
 
 
 # --- fiber extraction ----------------------------------------------------------
-
-
-def test_extract_fiber_point():
-    assert extract_fiber_point("0110", 3, 2) == "1"
-    assert extract_fiber_point("0110", 1, 2) == "010"
-    assert extract_fiber_point("0110", 1, 2, start_depth=2) == "10"
-    with pytest.raises(ValueError):
-        extract_fiber_point("0110", 5, 2)
 
 
 def test_extraction_inverts_mixing_certificates():
