@@ -97,6 +97,8 @@ def cmd_witness(args) -> int:
     elif args.mode == "directional-coprime":
         if args.modulus is None:
             raise SpecError("--modulus is required for directional-coprime")
+        if args.alpha_bound < 1:
+            raise ValueError("alpha_bound must be >= 1")
         k, build = witness_mod.witness_directional_coprime(spec, args.l, args.modulus, u, v)
         alphas = [a for a in range(1, args.alpha_bound + 1) if a % args.modulus]
         certs = [build(a) for a in alphas]

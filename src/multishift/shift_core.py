@@ -209,18 +209,13 @@ class DeBruijnGraph:
         self.pruned = tuple(pruned)
         n = len(self.vertices)
         self.full = (1 << n) - 1
-        # per symbol (None: any symbol), per vertex: mask of successors / predecessors
-        symbols = (None, *sorted({s for edges in self.out for s, _ in edges}))
-        self.succ: dict[Optional[int], list[int]] = {sym: [0] * n for sym in symbols}
-        self.pred: dict[Optional[int], list[int]] = {sym: [0] * n for sym in symbols}
-        succ, pred = self.succ, self.pred
+        # per vertex: mask of successors / predecessors
+        self.succ = succ = [0] * n
+        self.pred = pred = [0] * n
         for u, edges in enumerate(self.out):
-            bit = 1 << u
-            for s, d in edges:
-                succ[s][u] = 1 << d  # u and s fix d
-                succ[None][u] |= 1 << d
-                pred[s][d] |= bit
-                pred[None][d] |= bit
+            for _, d in edges:
+                succ[u] |= 1 << d
+                pred[d] |= 1 << u
         self.components: Optional[tuple[int, ...]] = None  # filled once by _components
         # per window position, per symbol: mask of windows carrying that symbol there, read off
         # the column of that position's symbols (last vertex first) as a binary numeral
@@ -282,7 +277,7 @@ def _ctx(spec: ShiftSpec) -> _Ctx:
 # ---------------------------------------------------------------------------
 # graph construction
 
-WINDOW_GUARD = 2**14  # clean words of one length a window graph may grow to; at the cap `props` peaks under 300 MB
+WINDOW_GUARD = 2**14  # clean words of one length a window graph may grow to; at the cap `props` peaks under 160 MB
 
 
 def _build_graph(spec: SftSpec) -> DeBruijnGraph:
@@ -319,7 +314,7 @@ def _build_graph(spec: SftSpec) -> DeBruijnGraph:
     # forward pruning: keep the windows with a successor among the kept ones, to the fixed point
     alive, kept = 0, (1 << len(words)) - 1
     while kept != alive:
-        alive, kept = kept, kept & _advance({None: preds}, kept)
+        alive, kept = kept, kept & _advance(preds, kept)
     bits = format(alive, "b")[::-1].ljust(len(words), "0")
     renumber = {i: j for j, i in enumerate(i for i, bit in enumerate(bits) if bit == "1")}
     vertices = [words[i] for i in renumber]
@@ -531,11 +526,8 @@ def _sft_extendable(ctx: _Ctx, cmap: Mapping[int, int]) -> bool:
 # state-set engine: every walk over sets of window states goes through _advance
 
 
-def _advance(table: Mapping[Optional[int], Sequence[int]], states: int, sym: Optional[int] = None) -> int:
-    """One step of a state set along ``table`` (a graph's succ or pred), pinned to ``sym`` unless None."""
-    rows = table.get(sym)
-    if rows is None:
-        return 0
+def _advance(rows: Sequence[int], states: int) -> int:
+    """One step of a state set along ``rows`` (a graph's succ or pred, or any per-vertex masks)."""
     out = 0
     while states:
         low = states & -states
@@ -548,20 +540,26 @@ def _pinned_windows(g: DeBruijnGraph, cmap: Mapping[int, int]) -> int:
     """Windows (as a mask) agreeing with every pin at positions 1..window."""
     states = g.full
     for p, pos_masks in enumerate(g.at, start=1):
-        sym = cmap.get(p)
-        if sym is not None:
-            states &= pos_masks.get(sym, 0)
+        if p in cmap:
+            states &= pos_masks.get(cmap[p], 0)
+    return states
+
+
+def _walk(g: DeBruijnGraph, states: int, pins: Mapping[int, int], first: int, last: int) -> int:
+    """The set ``states`` (windows ending at ``first - 1``) stepped to end position ``last``, pinned by ``pins``."""
+    ends = g.at[-1]
+    for t in range(first, last + 1):
+        if not states:
+            break
+        states = _advance(g.succ, states)
+        if t in pins:  # an edge appends its head's last symbol: a pinned step keeps the heads ending in the pin
+            states &= ends.get(pins[t], 0)
     return states
 
 
 def states_after(g: DeBruijnGraph, cmap: Mapping[int, int], through: int) -> int:
     """Window states (as a mask) at end position ``through`` of paths satisfying the pins."""
-    states = _pinned_windows(g, cmap)
-    for t in range(g.window + 1, through + 1):
-        if not states:
-            break
-        states = _advance(g.succ, states, cmap.get(t))
-    return states
+    return _walk(g, _pinned_windows(g, cmap), cmap, g.window + 1, through)
 
 
 class _Orbit:
@@ -608,12 +606,7 @@ def _tail_fits(ctx: _Ctx, states: int, moving: tuple) -> bool:
         pins: dict[int, int] = {}
         if any(pins.setdefault(pos, sym) != sym for pos, sym in moving):
             states = 0
-        g = ctx.graph
-        for t in range(min(pins), max(pins) + 1):
-            if not states:
-                break
-            states = _advance(g.succ, states, pins.get(t))
-        ok = ctx.tails[key] = bool(states)
+        ok = ctx.tails[key] = bool(_walk(ctx.graph, states, pins, min(pins), max(pins)))
     return ok
 
 
@@ -666,18 +659,20 @@ def _sft_least_word(ctx: _Ctx, length: int, cmap: Mapping[int, int]) -> Optional
     g = ctx.graph
     if not g.vertices:
         return None
-    L = g.window
-    # feasible[t] = states (window ending at position t) from which t+1..length completes
+    L, ends = g.window, g.at[-1]
+    # feasible[t] = states (window ending at position t) fitting a pin at t > L, from which t+1..length completes
     feasible = [g.full] * (max(length, L) + 1)
     for t in range(length, L, -1):
-        feasible[t - 1] = _advance(g.pred, feasible[t], cmap.get(t))
+        if t in cmap:
+            feasible[t] &= ends.get(cmap[t], 0)
+        feasible[t - 1] = _advance(g.pred, feasible[t])
     states = feasible[L] & _pinned_windows(g, cmap)
     if not states:
         return None
     state = (states & -states).bit_length() - 1  # lowest bit: the least window
     word = [g.vertices[state][:length]]
     for t in range(L + 1, length + 1):
-        states = _advance(g.succ, 1 << state, cmap.get(t)) & feasible[t]
+        states = g.succ[state] & feasible[t]
         state = (states & -states).bit_length() - 1  # least successor: least appended symbol
         word.append(g.vertices[state][-1])
     return "".join(word)
@@ -693,11 +688,11 @@ def _spacing_least_word(ctx: _Ctx, length: int, cmap: Mapping[int, int]) -> Opti
 # graph structure: components, cycles, period and dead windows, as state sets
 
 
-def _closure(table: Mapping[Optional[int], Sequence[int]], states: int) -> int:
-    """States reachable from ``states`` in zero or more steps along ``table``."""
+def _closure(rows: Sequence[int], states: int) -> int:
+    """States reachable from ``states`` in zero or more steps along ``rows``."""
     seen = frontier = states
     while frontier:
-        frontier = _advance(table, frontier) & ~seen
+        frontier = _advance(rows, frontier) & ~seen
         seen |= frontier
     return seen
 
@@ -775,14 +770,14 @@ def _primitivity_exponent(ctx: _Ctx) -> int:
         return ctx._gamma
     g = ctx.graph
     n = len(g.vertices)
-    power = list(g.succ[None])  # power[u]: vertices at the end of a length-t path from u
+    power = g.succ  # power[u]: vertices at the end of a length-t path from u
     cap = (n - 1) * (n - 1) + 2
     for t in range(1, cap + 1):
         if all(r == g.full for r in power):
             ctx._gamma = t
             return t
         # a length-(t+1) path from u is an edge u -> d and a length-t path from d
-        power = [_advance({None: power}, heads) for heads in g.succ[None]]
+        power = [_advance(power, heads) for heads in g.succ]
     raise PreconditionFailed("graph is not primitive")
 
 

@@ -353,6 +353,8 @@ def witness_mixing(omega: ShiftSpec, l: int, u: Pattern, v: Pattern) -> MixingWi
     threshold = mixing_gap_index(omega)
 
     def build(alpha: int, k: int) -> WitnessCertificate:
+        if k < 0:
+            raise ValueError("k must be nonnegative")
         if alpha % l == 0:
             raise ValueError(f"alpha {alpha} is divisible by the base {l}")
         if alpha * l**k < l**threshold:

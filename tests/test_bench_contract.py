@@ -1,5 +1,5 @@
 """The benchmark's view of the program: every function it traces must exist,
-and a certify round runs without a failed op or a check error.
+and a plain seed-1 round of each workload runs clean and gives its pinned output.
 
 ``bench/tracer.py`` wraps the functions listed in its ``TARGETS`` when a
 traced round starts; a renamed or deleted one would kill that round
@@ -10,11 +10,15 @@ installing the tracer, so such a rename fails the test suite instead.
 import importlib
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-TRACER = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def _targets():
@@ -32,17 +36,28 @@ def test_traced_target_resolves(module, path):
     assert callable(owner)
 
 
-def test_certify_round_runs_clean(tmp_path, monkeypatch):
-    # a seed-1 certify round in process, as bench/round.py runs it: inputs through JSON, every op,
-    # then the reference check that reads each witness output
+# sha256 of every op's output in a seed-1 round; a change that alters an answer updates these
+# and lists the outputs it changed
+SEED_1_DIGESTS = {
+    "campaign": "17057e5a4dc9da38570b380f7b56de507dcf707048aa24b2397db7e70d48e7ad",
+    "probe-deep": "d1b8128c4a882c2deba9b5931c752eea3d6ea410453a00f97155f68e93ddc1e0",
+    "certify": "d55a7acc61cb66e217c09f1ea888d7e7554bb872894d3a1923b9d75e7e2d6c89",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(SEED_1_DIGESTS))
+def test_seed_1_round_runs_clean(tmp_path, monkeypatch, workload):
+    # one plain round through bench/round.py, in a fresh interpreter and environment as
+    # bench/run.py spawns it, with the reference check that reads every output
     monkeypatch.syspath_prepend(str(TRACER.parent))
     workloads = importlib.import_module("workloads")
-    inputs = json.loads(json.dumps(workloads.INPUTS["certify"](1)))
-    outputs, failures = [], []
-    for op in workloads.PREPARE["certify"](inputs, str(tmp_path)):
-        text, failure, _ = op.run()
-        outputs.append((op.name, None if failure else text))
-        if failure:
-            failures.append(f"{op.name}: {failure}")
-    assert failures == []
-    assert workloads.CHECK["certify"](inputs, outputs) == []
+    (tmp_path / "inputs.json").write_text(json.dumps(workloads.INPUTS[workload](1)))
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env.pop("MULTISHIFT_BUDGET", None)
+    cmd = [sys.executable, str(ROOT / "bench" / "round.py"), "--root", str(ROOT), "--run-dir", str(tmp_path),
+           "--workload", workload, "--check", "1"]
+    done = subprocess.run(cmd, env=env, cwd=ROOT, capture_output=True, text=True, timeout=150)
+    assert done.returncode == 0, done.stderr[-2000:]
+    report = json.loads((tmp_path / "round.json").read_text())
+    assert (report["failures"], report["check_errors"]) == ([], [])
+    assert report["digest"] == SEED_1_DIGESTS[workload]

@@ -136,6 +136,26 @@ def test_witness_exact_rejects_a_nonpositive_alpha(capsys, golden_spec, alpha):
     assert f"expected a positive integer, got {alpha}" in err
 
 
+def test_witness_mixing_rejects_a_negative_k(capsys, tmp_path):
+    path = tmp_path / "full.json"
+    path.write_text(json.dumps({"kind": "sft", "alphabet": 2, "forbidden": []}))
+    code, out, err = run(
+        capsys, "witness", "--spec", str(path), "--l", "3",
+        "--u", "block:0", "--v", "block:1", "--mode", "mixing", "--alpha", "10", "--k", "-1",
+    )
+    assert (code, out, err) == (2, "", "error: k must be nonnegative\n")
+
+
+@pytest.mark.parametrize("mode", ["directional-coprime", "directional-power"])
+def test_witness_directional_rejects_an_alpha_bound_below_one(capsys, golden_spec, mode):
+    # an empty certificate list is one that verify refuses, so neither mode may print one
+    code, out, err = run(
+        capsys, "witness", "--spec", golden_spec, "--l", "2", "--u", "block:0", "--v", "block:0",
+        "--mode", mode, "--modulus", "3", "--power", "1", "--alpha-bound", "0",
+    )
+    assert (code, out, err) == (2, "", "error: alpha_bound must be >= 1\n")
+
+
 def test_witness_exact_alpha_defaults_to_one(capsys, golden_spec):
     code, out, _ = run(
         capsys, "witness", "--spec", golden_spec, "--l", "2",
@@ -192,6 +212,19 @@ def test_props_past_the_window_cap_exits_2(tmp_path, word, code, stderr):
     assert (done.returncode, done.stderr) == (code, stderr)
     if code == 0:
         assert all(json.loads(done.stdout).values())
+
+
+def test_deciding_every_property_of_ten_thousand_windows_stays_under_120_mb():
+    # one successor and one predecessor mask per window; a successor and a predecessor
+    # table per symbol as well peaked at 164 MB here
+    probe = (
+        "import resource; from multishift.shift_core import PROPERTIES, decide, sft; "
+        "spec = sft(10, ['00000']); assert all(decide(spec, p).value for p in PROPERTIES); "
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_cli_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 120 * 1024, f"peak RSS {int(done.stdout) / 1024:.0f} MB"
 
 
 def test_import_leaves_the_process_pool_unloaded():

@@ -81,11 +81,12 @@ def test_window_graph_matches_language():
         labelled = [(u, s, d) for u, edges in enumerate(g.out) for s, d in edges]
         assert sorted(g.vertices[u] + str(s) for u, s, _ in labelled) == sorted(language(spec, window + 1)), spec
         assert all(g.vertices[d] == (g.vertices[u] + str(s))[1:] for u, s, d in labelled), spec
-        assert set(g.succ) == set(g.pred) == {None, *(s for _, s, _ in labelled)}, spec
-        for sym in g.succ:
-            on = [(u, d) for u, s, d in labelled if sym in (None, s)]
-            assert g.succ[sym] == [sum(1 << d for x, d in on if x == u) for u in range(len(g))], spec
-            assert g.pred[sym] == [sum(1 << u for u, x in on if x == d) for d in range(len(g))], spec
+        assert g.succ == [sum(1 << d for x, _, d in labelled if x == u) for u in range(len(g))], spec
+        assert g.pred == [sum(1 << u for u, _, x in labelled if x == d) for d in range(len(g))], spec
+        for u in range(len(g)):  # a step pinned to s follows exactly the edges labelled s
+            for s in range(spec.alphabet):
+                heads = sum(1 << d for x, t, d in labelled if (x, t) == (u, s))
+                assert shift_core._walk(g, 1 << u, {1: s}, 1, 1) == heads, spec
         for p, masks in enumerate(g.at):
             at = {int(v[p]) for v in g.vertices}
             assert masks == {s: sum(1 << i for i, v in enumerate(g.vertices) if v[p] == str(s)) for s in at}, spec
@@ -101,8 +102,8 @@ def test_window_graph_matches_language():
 
 def test_window_graph_build_and_decide_on_1000_windows():
     # every 4-word over ten symbols but 0000: growing the windows, reading the 9,999 edges,
-    # the per-symbol tables (one allocation each) and the primitivity exponent from successor
-    # rows are each linear in the edges, so both take a few hundredths of a second of CPU;
+    # the successor and predecessor masks and the primitivity exponent from successor rows
+    # are each linear in the edges, so both take a few hundredths of a second of CPU;
     # a fresh n-long table per edge costs about 0.2 s, and an exponent that steps every set
     # bit of every row about 0.4 s
     spec = sft(10, ["0000"])
