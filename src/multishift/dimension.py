@@ -39,7 +39,7 @@ class SeriesResult:
     tail_bound: Decimal
 
 
-def dimB_goldenmean(terms: int, precision: int = 40, reverse: bool = False) -> SeriesResult:
+def dimB_goldenmean(terms: int, reverse: bool = False) -> SeriesResult:
     """Partial sum of (1 / (2 ln 2)) * sum ln(F_n) / 2**n over n in [1, terms].
 
     ``reverse`` sums the terms smallest-first, which serves as an
@@ -50,7 +50,7 @@ def dimB_goldenmean(terms: int, precision: int = 40, reverse: bool = False) -> S
     if terms < 1:
         raise ValueError("need at least one term")
     with localcontext() as ctx:
-        ctx.prec = precision
+        ctx.prec = 40  # significant digits
         two = Decimal(2)
         indices = range(terms, 0, -1) if reverse else range(1, terms + 1)
         total = Decimal(0)

@@ -42,10 +42,6 @@ class NoCoprimePrime(MultishiftError):
 class ConnectorNotFound(MultishiftError):
     """No common connector offset was found within the search bound."""
 
-    def __init__(self, message, bound):
-        super().__init__(message)
-        self.bound = bound
-
 
 class OutputGuardExceeded(MultishiftError):
     """An enumeration would produce more output than the configured cap."""

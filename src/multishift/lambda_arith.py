@@ -20,19 +20,17 @@ __all__ = [
     "a_set",
     "decompose",
     "factorization",
-    "is_prime",
     "next_prime_avoiding",
     "offset_bound",
     "offset_of",
     "product_offset_bound",
-    "valuation",
     "xi",
 ]
 
 
 def _check_base(l: int) -> None:
     if not isinstance(l, int) or l < 2:
-        raise ValueError(f"chain base must be an integer >= 2, got {l!r}")
+        raise ValueError(f"chain base must be >= 2, got {l!r}")
 
 
 @dataclass(frozen=True)
@@ -42,10 +40,6 @@ class Decomposition:
     alpha: int
     k: int
     base: int
-
-    @property
-    def value(self) -> int:
-        return self.alpha * self.base**self.k
 
 
 def decompose(n: int, l: int) -> Decomposition:
@@ -59,17 +53,6 @@ def decompose(n: int, l: int) -> Decomposition:
         a //= l
         k += 1
     return Decomposition(a, k, l)
-
-
-def valuation(n: int, p: int) -> int:
-    """Largest e with p**e dividing n (n >= 1)."""
-    if n < 1:
-        raise ValueError(f"expected a positive integer, got {n!r}")
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
 
 
 def xi(length: int, l: int) -> int:
@@ -112,21 +95,10 @@ def factorization(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
-
-
 def next_prime_avoiding(minimum_exclusive: int, avoid: frozenset[int] | set[int]) -> int:
     """Least prime strictly above ``minimum_exclusive`` outside ``avoid``."""
     p = max(minimum_exclusive, 1) + 1
-    while not is_prime(p) or p in avoid:
+    while p in avoid or factorization(p) != ((p, 1),):
         p += 1
     return p
 
@@ -151,7 +123,7 @@ def offset_bound(l: int, n: int) -> OffsetBound:
     best = 0
     for k in a_set(l, n):
         for p, m in facs:
-            best = max(best, valuation(k, p) // m)
+            best = max(best, decompose(k, p).k // m)
     return OffsetBound(best + 1, l, n)
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Optional
 
 from . import shift_core
 from .errors import InadmissiblePattern, OutputGuardExceeded
-from .lambda_arith import decompose
+from .lambda_arith import _check_base, a_set, decompose
 from .shift_core import ShiftSpec, alphabet_of
 
 __all__ = [
@@ -55,11 +55,6 @@ def chain_positions(rep: int, length: int, l: int) -> list[int]:
     return out
 
 
-def class_reps(length: int, l: int) -> list[int]:
-    """Base-free chain representatives up to length."""
-    return [i for i in range(1, length + 1) if i % l]
-
-
 @dataclass(frozen=True)
 class Pattern:
     """A finite partial configuration of the multiplicative subshift.
@@ -78,8 +73,7 @@ class Pattern:
     _bad: Optional[tuple[int, ...]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.base < 2:
-            raise ValueError(f"chain base must be >= 2, got {self.base}")
+        _check_base(self.base)
         if not self.entries:
             raise ValueError("pattern must constrain at least one position")
         seen = set()
@@ -143,10 +137,11 @@ def inadmissible_classes(u: Pattern) -> list[int]:
 
 def count_blocks(omega: ShiftSpec, l: int, n: int) -> int:
     """Number of admissible blocks on [1, n]: a product over chain fibers."""
+    _check_base(l)
     if n < 1:
         raise ValueError("block length must be >= 1")
     total = 1
-    for rep in class_reps(n, l):
+    for rep in a_set(l, n):
         total *= len(shift_core.blocks(omega, chain_length(rep, n, l)))
         if total == 0:
             return 0
@@ -158,7 +153,7 @@ def enumerate_blocks(omega: ShiftSpec, l: int, n: int) -> set[str]:
     count = count_blocks(omega, l, n)
     if count > ENUMERATION_GUARD:
         raise OutputGuardExceeded(f"{count} blocks exceed the enumeration cap {ENUMERATION_GUARD}")
-    reps = class_reps(n, l)
+    reps = a_set(l, n)
     per_rep = [sorted(shift_core.blocks(omega, chain_length(rep, n, l))) for rep in reps]
     return {assemble(dict(zip(reps, words)), l, n) for words in itertools.product(*per_rep)}
 
@@ -169,10 +164,11 @@ def assemble(fibers: Mapping[int, str], l: int, length: int) -> str:
     Every base-free representative up to ``length`` needs a word covering
     its chain.
     """
+    _check_base(l)
     if length < 1:
         raise ValueError("block length must be >= 1")
     chars = ["?"] * length
-    for rep in class_reps(length, l):
+    for rep in a_set(l, length):
         if rep not in fibers:
             raise KeyError(f"missing fiber for chain representative {rep}")
         word = fibers[rep]
@@ -246,7 +242,6 @@ class MultiplierConstraintSet:
     makes the set unsatisfiable.
     """
 
-    multiplier: int
     groups: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
     conflicts: tuple[tuple[int, int, int], ...]
 
@@ -270,7 +265,7 @@ def multiplier_constraints(u: Pattern, v: Pattern, multiplier: int) -> Multiplie
             conflicts.append((p, old, sym))
         merged[p] = sym
     grouped = tuple(Pattern.make(merged, u.base, u.omega).fibers().items())
-    return MultiplierConstraintSet(multiplier, grouped, tuple(conflicts))
+    return MultiplierConstraintSet(grouped, tuple(conflicts))
 
 
 def require_admissible(u: Pattern, name: str = "pattern") -> None:

@@ -107,7 +107,7 @@ def exists_witness_exact(
     mult_shift.require_admissible(v, "v")
     if not _PairProbe(omega, l, u, v).decide(alpha, k):
         return None
-    return try_certificate(omega, l, u, v, alpha, k, u.length * alpha * l**k, "oracle_search")
+    return try_certificate(omega, l, u, v, alpha, k, "oracle_search")
 
 
 def verify_certificate(omega: ShiftSpec, l: int, cert: WitnessCertificate) -> tuple[bool, str]:
@@ -252,8 +252,9 @@ class _PairGrid:
     """Every pair of a pattern list decided at once, as int bitmasks over pair indices.
 
     Pair i * N + j is (pats[i], pats[j]), ``itertools.product`` order.
-    ``depths(m, width)[e]`` is the mask of the pairs that
+    ``depths(m)[e]`` is the mask of the pairs that
     ``_PairProbe(omega, l, u, v).decide(m, e)`` accepts, for every e < width.
+    The caller fixes the width: the widest depth any of its reads asks for, plus one.
 
     Exact by the argument of ``_PairProbe``.  By injectivity, v's chain c
     lands on one target chain, where u's fiber there and v's fiber on c
@@ -278,10 +279,11 @@ class _PairGrid:
     for every alpha, where the lazy walk stops at the first alpha that fails.
     """
 
-    def __init__(self, omega: ShiftSpec, l: int, pats: Sequence[Pattern]):
+    def __init__(self, omega: ShiftSpec, l: int, pats: Sequence[Pattern], width: int):
         self.omega = omega
         self.l = l
         self.pats = pats
+        self.width = width
         n = self.n = len(pats)
         self.full = (1 << n * n) - 1
         self.tables = shift_core.offset_tables(omega)
@@ -304,15 +306,16 @@ class _PairGrid:
         self.free = {c: (((1 << n) - 1) & ~sum(groups.values())) * spread_all for c, groups in self.v_groups.items()}
         self._depths: dict[int, list[int]] = {}
 
-    def depths(self, m: int, width: int) -> list[int]:
+    def depths(self, m: int) -> list[int]:
         """Per depth e < width, the mask of pairs accepted at the multiplier |u| * m * l**e (kept per m).
 
         Unsure pairs are in no mask.
         """
+        width = self.width
         if self.unsure == self.full:
             return [0] * width
         out = self._depths.get(m)
-        if out is not None and len(out) >= width:
+        if out is not None:
             return out
         out = [self.good] * width
         for c, v_groups in self.v_groups.items():
@@ -503,7 +506,7 @@ def probe_transitive_X(omega: ShiftSpec, l: int, budget: SearchBudget) -> Transi
     least chain offset any multiplier produces.
     """
     pats = x_block_patterns(omega, l, budget.pair_length_bound)
-    return _transitive(_PairGrid(omega, l, pats), budget)
+    return _transitive(_PairGrid(omega, l, pats, budget.k_bound + 1), budget)
 
 
 def _transitive(grid: _PairGrid, budget: SearchBudget) -> TransitiveVerdict:
@@ -511,7 +514,7 @@ def _transitive(grid: _PairGrid, budget: SearchBudget) -> TransitiveVerdict:
     order = _alpha_k_order(grid.l, budget)
     connected = 0
     for alpha, k in order:
-        connected |= grid.depths(alpha, budget.k_bound + 1)[k]
+        connected |= grid.depths(alpha)[k]
     witnessed = (connected & ~grid.unsure).bit_count()
     failing = []
     proofs = []
@@ -590,7 +593,6 @@ class CampaignRow:
 @dataclass
 class CampaignReport:
     rows: list
-    budget: SearchBudget
     elapsed: float
 
     @property
@@ -653,12 +655,15 @@ def _spec_label(spec: ShiftSpec) -> str:
     return f"spacing[{spec.declared_class}]{{{','.join(map(str, spec.complement))}}}"
 
 
+def _word_pool(max_word_len: int, alphabet: int) -> list[str]:
+    """Every word over the alphabet up to a length, shortest first."""
+    digits = "0123456789"[:alphabet]
+    return ["".join(p) for t in range(1, max_word_len + 1) for p in itertools.product(digits, repeat=t)]
+
+
 def binary_sft_family(max_word_len: int = 2, alphabet: int = 2) -> list[SftSpec]:
     """Every finite-type spec over the alphabet with forbidden words up to a length."""
-    digits = "0123456789"[:alphabet]
-    pool = []
-    for t in range(1, max_word_len + 1):
-        pool.extend("".join(p) for p in itertools.product(digits, repeat=t))
+    pool = _word_pool(max_word_len, alphabet)
     out = []
     for r in range(len(pool) + 1):
         for combo in itertools.combinations(pool, r):
@@ -668,10 +673,7 @@ def binary_sft_family(max_word_len: int = 2, alphabet: int = 2) -> list[SftSpec]
 
 def random_sft_family(count: int, seed: int, max_word_len: int = 3, alphabet: int = 2) -> list[SftSpec]:
     """Seeded random forbidden sets with words up to a length."""
-    digits = "0123456789"[:alphabet]
-    pool = []
-    for t in range(1, max_word_len + 1):
-        pool.extend("".join(p) for p in itertools.product(digits, repeat=t))
+    pool = _word_pool(max_word_len, alphabet)
     rng = random.Random(seed)
     out = []
     for _ in range(count):
@@ -716,7 +718,7 @@ def _campaign_row(spec: ShiftSpec, l: int, budget: SearchBudget) -> CampaignRow:
         return row
 
     pats = x_block_patterns(spec, l, budget.pair_length_bound)
-    grid = _PairGrid(spec, l, pats)
+    grid = _PairGrid(spec, l, pats, 2 * budget.k_bound + 1)  # the directional check reads depth n*k at n = 2
     _check_transitivity(row, spec, l, budget, pats, grid)
     _check_directional(row, spec, l, budget, pats, grid)
     _check_mixing(row, spec, l, budget, pats, grid)
@@ -802,12 +804,12 @@ def _check_directional(row, spec, l, budget, pats, grid) -> None:
     wm = row.omega_verdicts["weakly_mixing"]
     capped = False  # a cover past the prefix cap refutes nothing, and proves nothing either
     for label, n in (("directional_l", 1), ("directional_l2", 2)):
-        alphas, width = a_set(l**n, budget.alpha_bound), n * budget.k_bound + 1
+        alphas = a_set(l**n, budget.alpha_bound)
         witnessed = 0  # pairs with one depth k that every alpha accepts
         for k in range(budget.k_bound + 1):
             uniform = grid.full
             for alpha in alphas:
-                uniform &= grid.depths(alpha, width)[n * k]
+                uniform &= grid.depths(alpha)[n * k]
             witnessed |= uniform
         # one proved negative fixes the label, and the first non-witnessed pair comes at or
         # before it, so the pairs after it are not probed
@@ -887,7 +889,7 @@ def _check_mixing(row, spec, l, budget, pats, grid) -> None:
             return
         every = grid.full
         for alpha, k in window:
-            every &= grid.depths(alpha, budget.k_bound + 1)[k]
+            every &= grid.depths(alpha)[k]
         for probe in grid.left_out(every):
             bad = [(a, k) for a, k in window if not probe.decide(a, k)]
             if bad:
@@ -952,7 +954,7 @@ def campaign(
     else:
         rows = [_campaign_row(spec, l, budget) for spec, l in tasks]
     elapsed = time.monotonic() - start
-    return CampaignReport(rows, budget, elapsed)
+    return CampaignReport(rows, elapsed)
 
 
 def _row_task(args) -> CampaignRow:

@@ -320,6 +320,7 @@ def _build_graph(spec: SftSpec) -> DeBruijnGraph:
     vertices = [words[i] for i in renumber]
     out = [[(s, renumber[d]) for s, d in edges[i] if d in renumber] for i in renumber]
     pruned = [w for w, bit in zip(words, bits) if bit == "0"]
+    del index, preds, edges, words, renumber  # freed before the graph builds its masks
     return DeBruijnGraph(window, vertices, out, pruned)
 
 
@@ -449,17 +450,12 @@ class _OffsetTable(dict):
         return max(0, orbit.origin + 1 - self.first + orbit.preperiod), orbit.period
 
     def bits(self, n: int) -> int:
-        """The mask of the offsets r < n where ``self[r]`` holds.
+        """The mask of the offsets r < n where ``self[r]`` holds, on a finite-type table with moving pins.
 
-        On a finite-type table with moving pins, the head before
-        ``periodicity()``'s start and one period are each read once through
-        lookups; any width is then the head and the period repeated.
-        Other tables read every offset.
+        The head before ``periodicity()``'s start and one period are each
+        read once through lookups; any width is then the head and the
+        period repeated.
         """
-        if n <= 0:
-            return 0
-        if self.ctx.graph is None or not self.moving:
-            return sum(1 << r for r in range(n) if self[r])
         if self.cycle is None:
             start, period = self.periodicity()
             head = sum(1 << r for r in range(start) if self[r])
@@ -776,8 +772,9 @@ def _primitivity_exponent(ctx: _Ctx) -> int:
         if all(r == g.full for r in power):
             ctx._gamma = t
             return t
-        # a length-(t+1) path from u is an edge u -> d and a length-t path from d
-        power = [_advance(power, heads) for heads in g.succ]
+        # a length-(t+1) path from u is an edge u -> d and a length-t path from d; every vertex
+        # has a predecessor in a strongly connected graph, so a full row stays full, as g.full
+        power = [g.full if r == g.full else _advance(power, heads) for r, heads in zip(power, g.succ)]
     raise PreconditionFailed("graph is not primitive")
 
 

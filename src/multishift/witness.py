@@ -124,18 +124,20 @@ def try_certificate(
     v: Pattern,
     alpha: int,
     k: int,
-    multiplier: int,
     construction: str,
     directional_base: Optional[int] = None,
     cover: Optional[ConnectorCover] = None,
 ) -> WitnessCertificate:
     """Build and self-check a certificate for a multiplier the caller knows connects u to v.
 
-    Raises AssertionError when no admissible prefix meets the constraints, and
-    OutputGuardExceeded, before anything is built, when the prefix would be
-    longer than PREFIX_GUARD: its length is the largest constrained position,
-    max(|u|, multiplier * |v|).
+    The multiplier is |u| * alpha * base**k, with base ``directional_base``
+    (``l`` when not given).  Raises AssertionError when no admissible
+    prefix meets the constraints, and OutputGuardExceeded, before anything
+    is built, when the prefix would be longer than PREFIX_GUARD: its length
+    is the largest constrained position, max(|u|, multiplier * |v|).
     """
+    directional_base = directional_base or l
+    multiplier = u.length * alpha * directional_base**k
     length = max(u.length, multiplier * v.length)
     if length > PREFIX_GUARD:
         # a length past 64 bits is named by its bit length: decimal conversion is quadratic and capped
@@ -154,7 +156,7 @@ def try_certificate(
         construction=construction,
         u_literal=format_pattern(u),
         v_literal=format_pattern(v),
-        directional_base=directional_base if directional_base is not None else l,
+        directional_base=directional_base,
         cover=cover,
     )
     _self_check(omega, l, cert)
@@ -207,8 +209,7 @@ def witness_transitive(omega: ShiftSpec, l: int, u: Pattern, v: Pattern, k: int)
     require_admissible(u, "u")
     require_admissible(v, "v")
     alpha = next_prime_avoiding(xi(u.length, l), _prime_factors(l))
-    multiplier = u.length * alpha * l**k
-    return try_certificate(omega, l, u, v, alpha, k, multiplier, "transitive_prime_alpha")
+    return try_certificate(omega, l, u, v, alpha, k, "transitive_prime_alpha")
 
 
 def witness_directional_coprime(
@@ -243,10 +244,7 @@ def witness_directional_coprime(
     def build(alpha: int) -> WitnessCertificate:
         if alpha % modulus == 0:
             raise ValueError(f"alpha {alpha} is divisible by the modulus {modulus}")
-        multiplier = u.length * alpha * modulus**k
-        return try_certificate(
-            omega, l, u, v, alpha, k, multiplier, "directional_coprime", directional_base=modulus
-        )
+        return try_certificate(omega, l, u, v, alpha, k, "directional_coprime", directional_base=modulus)
 
     return k, build
 
@@ -284,10 +282,7 @@ def _connector_cover(
                         pairs.append((urep, uw, r, vrep, pad, vw))
             return ConnectorCover(offset_bound=pad_bound, common_offset=K, pairs=tuple(pairs))
         k += 1
-    raise ConnectorNotFound(
-        f"no common connector offset congruent to {k1} mod {n} within {K_SEARCH_BOUND} steps",
-        bound=K_SEARCH_BOUND,
-    )
+    raise ConnectorNotFound(f"no common connector offset congruent to {k1} mod {n} within {K_SEARCH_BOUND} steps")
 
 
 def _pad_word(omega: ShiftSpec, r: int, vw: str) -> str:
@@ -329,13 +324,11 @@ def witness_directional_power(
     cover = _connector_cover(omega, l, n, u, v)
     k1 = decompose(u.length, l).k
     k = (cover.common_offset - k1) // n
-    certs = []
-    for alpha in a_set(q, alpha_bound):
-        multiplier = u.length * alpha * q**k
-        certs.append(
-            try_certificate(omega, l, u, v, alpha, k, multiplier, "directional_power", directional_base=q, cover=cover)
-        )
-    return DirectionalWitness(q=q, k=k, certificates=tuple(certs), cover=cover)
+    certs = tuple(
+        try_certificate(omega, l, u, v, alpha, k, "directional_power", directional_base=q, cover=cover)
+        for alpha in a_set(q, alpha_bound)
+    )
+    return DirectionalWitness(q=q, k=k, certificates=certs, cover=cover)
 
 
 def witness_mixing(omega: ShiftSpec, l: int, u: Pattern, v: Pattern) -> MixingWitness:
@@ -359,8 +352,7 @@ def witness_mixing(omega: ShiftSpec, l: int, u: Pattern, v: Pattern) -> MixingWi
             raise ValueError(f"alpha {alpha} is divisible by the base {l}")
         if alpha * l**k < l**threshold:
             raise ValueError(f"alpha * l**k = {alpha * l ** k} is below the threshold {l ** threshold}")
-        multiplier = u.length * alpha * l**k
-        return try_certificate(omega, l, u, v, alpha, k, multiplier, "mixing_threshold")
+        return try_certificate(omega, l, u, v, alpha, k, "mixing_threshold")
 
     return MixingWitness(threshold=threshold, build=build)
 

@@ -214,17 +214,26 @@ def test_props_past_the_window_cap_exits_2(tmp_path, word, code, stderr):
         assert all(json.loads(done.stdout).values())
 
 
-def test_deciding_every_property_of_ten_thousand_windows_stays_under_120_mb():
-    # one successor and one predecessor mask per window; a successor and a predecessor
-    # table per symbol as well peaked at 164 MB here
+@pytest.mark.parametrize(
+    "alphabet, word, limit_mb",
+    [
+        # 10**4 windows; a successor and a predecessor table per symbol as well peaked at 164 MB
+        (10, "00000", 120),
+        # 2**14 windows; the pre-pruning masks kept during the build and a fresh int per full
+        # row in the primitivity exponent peaked at 154 MB
+        (4, "0" * 8, 145),
+    ],
+)
+def test_deciding_every_property_of_a_wide_window_graph_stays_under_its_peak(alphabet, word, limit_mb):
+    # one successor and one predecessor mask per window, nothing else of the build kept
     probe = (
         "import resource; from multishift.shift_core import PROPERTIES, decide, sft; "
-        "spec = sft(10, ['00000']); assert all(decide(spec, p).value for p in PROPERTIES); "
+        f"spec = sft({alphabet}, [{word!r}]); assert all(decide(spec, p).value for p in PROPERTIES); "
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
     )
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_cli_env(), timeout=120)
     assert done.returncode == 0, done.stderr
-    assert int(done.stdout) < 120 * 1024, f"peak RSS {int(done.stdout) / 1024:.0f} MB"
+    assert int(done.stdout) < limit_mb * 1024, f"peak RSS {int(done.stdout) / 1024:.0f} MB"
 
 
 def test_import_leaves_the_process_pool_unloaded():
@@ -288,6 +297,15 @@ def test_probe_commands(capsys, ramp_spec):
     data = json.loads(out)
     assert data["status"] == "proved_negative"
     assert data["proof"]["alpha"] == 1
+
+
+@pytest.mark.parametrize("l", [1, 0, -2])
+@pytest.mark.parametrize("command", ["blocks", "probe", "campaign"])
+def test_chain_base_below_two_exits_2(capsys, golden_spec, command, l):
+    # a base below 2 has no chains: blocks printed "???" for l = 1 and divided by zero for l = 0
+    extra = ["--n", "3"] if command == "blocks" else []
+    code, out, err = run(capsys, command, "--spec", golden_spec, "--l", str(l), *extra)
+    assert (code, out, err) == (2, "", f"error: chain base must be >= 2, got {l}\n")
 
 
 def test_campaign_smoke(capsys, tmp_path, golden_spec, ramp_spec):

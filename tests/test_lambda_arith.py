@@ -8,7 +8,6 @@ from multishift.lambda_arith import (
     offset_bound,
     offset_of,
     product_offset_bound,
-    valuation,
     xi,
 )
 
@@ -64,7 +63,7 @@ def test_a_set():
 def test_factorization():
     assert factorization(12) == ((2, 2), (3, 1))
     assert factorization(7) == ((7, 1),)
-    assert valuation(40, 2) == 3
+    assert decompose(40, 2).k == 3
 
 
 def test_offset_bound_pinned():

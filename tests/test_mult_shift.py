@@ -116,12 +116,13 @@ def test_count_matches_enumerate():
 def test_count_blocks_product_structure():
     # lengths 2**t - 1 make every chain a full dyadic ladder
     from multishift.dimension import fib
-    from multishift.mult_shift import chain_length, class_reps
+    from multishift.lambda_arith import a_set
+    from multishift.mult_shift import chain_length
 
     for t in (2, 3):
         n = 2**t - 1
         expected = 1
-        for rep in class_reps(n, 2):
+        for rep in a_set(2, n):
             expected *= fib(chain_length(rep, n, 2))
         assert count_blocks(GOLDEN, 2, n) == expected
 

@@ -281,10 +281,11 @@ def test_pair_probe_matches_merged_constraints():
 
 
 def test_pair_grid_matches_pair_probes():
-    # depths(m, width)[e] holds pair i * N + j = (pats[i], pats[j]) iff the lazy engine accepts
-    # it at (m, e); the patterns include u's with an inadmissible chain and a v on chain 29,
-    # which no u's target chain ever carries. On gap-set specs the grid reads no table (a
-    # lookup past the horizon raises): every pair is unsure and goes to the lazy engine
+    # depths(m)[e] holds pair i * N + j = (pats[i], pats[j]) iff the lazy engine accepts it at
+    # (m, e), for every e below the grid's width; the masks are filled once per m and kept. The
+    # patterns include u's with an inadmissible chain and a v on chain 29, which no u's target
+    # chain ever carries. On gap-set specs the grid reads no table (a lookup past the horizon
+    # raises): every pair is unsure and goes to the lazy engine
     from multishift.mult_shift import inadmissible_classes
     from multishift.oracle import _PairGrid, _PairProbe
 
@@ -310,21 +311,22 @@ def test_pair_grid_matches_pair_probes():
                 break
         pats += bad + [Pattern.make({29: rng.randrange(a)}, l, spec)]
         rng.shuffle(pats)
-        grid = _PairGrid(spec, l, pats)
+        width = rng.randint(1, 20)
+        grid = _PairGrid(spec, l, pats, width)
         probes = [_PairProbe(spec, l, u, v) for u in pats for v in pats]
         seen.add(type(spec).__name__)
         if isinstance(spec, SpacingSpec):
             assert grid.unsure == grid.full
-            assert grid.depths(1, 20) == [0] * 20
+            assert grid.depths(1) == [0] * width
             assert [(p.u, p.v) for p in grid.left_out(grid.full)] == [(p.u, p.v) for p in probes]
             continue
         for m in range(1, 13):
-            for width in (rng.randint(1, 19), 20):  # a narrow read first, then a wider one
-                depths = grid.depths(m, width)
-                for e in range(width):
-                    expected = sum(1 << i for i, probe in enumerate(probes) if probe.decide(m, e))
-                    assert depths[e] == expected, (spec, l, m, e)
-                    seen.add("some" if 0 < expected < grid.full else "all or none")
+            depths = grid.depths(m)
+            assert len(depths) == width and grid.depths(m) is depths  # a second read is the kept fill
+            for e in range(width):
+                expected = sum(1 << i for i, probe in enumerate(probes) if probe.decide(m, e))
+                assert depths[e] == expected, (spec, l, m, e)
+                seen.add("some" if 0 < expected < grid.full else "all or none")
         assert grid.unsure == 0
         assert not list(grid.left_out(grid.full))
         seen.add(f"l = {l}")

@@ -4,13 +4,13 @@ import pytest
 
 from brute import extract_fiber_point
 from multishift.errors import InadmissiblePattern, NoCoprimePrime, PreconditionFailed
+from multishift.lambda_arith import a_set
 from multishift.mult_shift import (
     Pattern,
     assemble,
     chain_length,
     chain_positions,
     chain_words,
-    class_reps,
     is_admissible,
     least_block,
 )
@@ -256,7 +256,6 @@ def test_witness_mixing_cofinite_gapset():
 def test_witness_mixing_threshold_window_family():
     # every multiplier in [2**N, 8 * 2**N] (residue up to 9) certifies
     from multishift.mult_shift import enumerate_blocks
-    from multishift.lambda_arith import a_set
 
     for forb in ([], ["11"], ["00"]):
         spec = sft(2, forb)
@@ -319,7 +318,7 @@ PREFIX_SPECS = (GOLDEN, sft(2, ["000", "101"]), sft(3, ["01", "22"]), sft(3, ["1
 def _random_block(rng, omega, l, n):
     """A random admissible block on [1, n]: a random admissible word on every chain."""
     by_length = {t: sorted(blocks(omega, t)) for t in range(1, chain_length(1, n, l) + 1)}
-    words = {rep: rng.choice(by_length[chain_length(rep, n, l)]) for rep in class_reps(n, l)}
+    words = {rep: rng.choice(by_length[chain_length(rep, n, l)]) for rep in a_set(l, n)}
     return assemble(words, l, n)
 
 
@@ -389,13 +388,13 @@ def test_chain_words_match_per_chain_extraction():
                 prefix = _random_block(rng, omega, l, n)
                 least = least_block(omega, l, n, Pattern.make(_random_pins(rng, prefix), l, omega).fibers())
                 for y in (prefix, least):
-                    assert chain_words(y, l) == {extract_fiber_point(y, rep, l) for rep in class_reps(n, l)}, (l, y)
+                    assert chain_words(y, l) == {extract_fiber_point(y, rep, l) for rep in a_set(l, n)}, (l, y)
 
 
 def _least_block_reference(omega, l, n, groups):
     """Per-chain least words under each chain's pins, assembled; None when any chain has none."""
     pins = dict(groups)
-    words = {rep: least_word(omega, chain_length(rep, n, l), pins.get(rep, ())) for rep in class_reps(n, l)}
+    words = {rep: least_word(omega, chain_length(rep, n, l), pins.get(rep, ())) for rep in a_set(l, n)}
     return None if None in words.values() else assemble(words, l, n)
 
 
@@ -409,7 +408,7 @@ def test_least_block_matches_per_chain_reference():
                 # random symbols at one to four random positions and the first three of one chain's:
                 # some chains get pins no word meets
                 pins = {p: rng.randrange(m) for p in rng.sample(range(1, n + 1), min(n, rng.randint(1, 4)))}
-                pins.update((p, rng.randrange(m)) for p in chain_positions(rng.choice(class_reps(n, l)), n, l)[:3])
+                pins.update((p, rng.randrange(m)) for p in chain_positions(rng.choice(a_set(l, n)), n, l)[:3])
                 groups = Pattern.make(pins, l, omega).fibers()
                 least = least_block(omega, l, n, groups)
                 assert least == _least_block_reference(omega, l, n, groups), (omega, l, n, pins)
