@@ -3,8 +3,8 @@
 Subcommands: props, blocks, admissible, witness, verify, probe, campaign,
 dim, graph, decompose, offset-bound.  Specs are JSON files; patterns use
 the literal forms "block:1100" and "l=2;support=1,2,4;values=1,1,0".
-Exit codes: 0 success, 1 property or verification failure, 2 usage error
-or an output past its cap.
+Exit codes: 0 success, 1 property or verification failure, 2 usage error,
+an output past its cap or a gap-set position past its horizon.
 Identical invocations produce byte-identical output.
 """
 
@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import dimension, mult_shift, oracle, shift_core, witness as witness_mod
-from .errors import MultishiftError, OutputGuardExceeded, SpecError, UndecidableProperty
+from .errors import HorizonExceeded, MultishiftError, OutputGuardExceeded, SpecError, UndecidableProperty
 from .lambda_arith import decompose, offset_bound
 from .shift_core import PROPERTIES, sft, spec_from_dict, spec_to_dict
 
@@ -100,8 +100,9 @@ def cmd_witness(args) -> int:
         if args.alpha_bound < 1:
             raise ValueError("alpha_bound must be >= 1")
         k, build = witness_mod.witness_directional_coprime(spec, args.l, args.modulus, u, v)
-        alphas = [a for a in range(1, args.alpha_bound + 1) if a % args.modulus]
-        certs = [build(a) for a in alphas]
+        alphas = range(1, args.alpha_bound + 1)
+        witness_mod.check_prefix_total(u, v, (u.length * a * args.modulus**k for a in alphas if a % args.modulus))
+        certs = [build(a) for a in alphas if a % args.modulus]
     elif args.mode == "directional-power":
         dw = witness_mod.witness_directional_power(spec, args.l, args.power, u, v, args.alpha_bound)
         certs = list(dw.certificates)
@@ -324,15 +325,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (SpecError, OutputGuardExceeded) as exc:
+    except (SpecError, OutputGuardExceeded, HorizonExceeded, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MultishiftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -117,13 +117,19 @@ def offset_bound(l: int, n: int) -> OffsetBound:
 
     With l = p_1**m_1 ... p_r**m_r the bound is
     max over k in A_{l,N} and all i of floor(v_{p_i}(k) / m_i), plus one.
+    A prime power l gives 1, as v_p(k) < m; otherwise each p_i**floor(log_{p_i} N)
+    is in A_{l,N}, so the max is that of floor(log_{p_i**m_i} N).
     """
     _check_base(l)
+    if n < 1:
+        raise ValueError(f"expected n >= 1, got {n!r}")
     facs = factorization(l)
     best = 0
-    for k in a_set(l, n):
-        for p, m in facs:
-            best = max(best, decompose(k, p).k // m)
+    for q in [p**m for p, m in facs] if len(facs) > 1 else []:
+        e, power = 0, q  # e ends as floor(log_q n), exactly
+        while power <= n:
+            e, power = e + 1, power * q
+        best = max(best, e)
     return OffsetBound(best + 1, l, n)
 
 

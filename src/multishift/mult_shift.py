@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Optional
 from . import shift_core
 from .errors import InadmissiblePattern, OutputGuardExceeded
 from .lambda_arith import _check_base, a_set, decompose
-from .shift_core import ShiftSpec, alphabet_of
+from .shift_core import ENUMERATION_GUARD, ShiftSpec, alphabet_of
 
 __all__ = [
     "ENUMERATION_GUARD",
@@ -37,8 +37,6 @@ __all__ = [
     "multiplier_constraints",
     "parse_pattern",
 ]
-
-ENUMERATION_GUARD = 10_000_000
 
 
 def chain_length(rep: int, length: int, l: int) -> int:

@@ -16,7 +16,7 @@ value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
     HorizonExceeded,
@@ -29,6 +29,7 @@ from .errors import (
 __all__ = [
     "DEFAULT_HORIZON",
     "DeBruijnGraph",
+    "ENUMERATION_GUARD",
     "PropertyVerdict",
     "PROPERTIES",
     "SftSpec",
@@ -278,36 +279,38 @@ def _ctx(spec: ShiftSpec) -> _Ctx:
 # graph construction
 
 WINDOW_GUARD = 2**14  # clean words of one length a window graph may grow to; at the cap `props` peaks under 160 MB
+ENUMERATION_GUARD = 2**20  # words of one length listed, or 20 * 2**20 symbols past 20 a word: each prints in 1 GiB
+
+
+def _grow(words: list[str], steps: int, alphabet: int, keep: Callable[[str], bool], cap: int, what: str) -> list[str]:
+    """Sorted words of one length grown ``steps`` symbols in order, keeping what ``keep`` accepts.
+
+    Each length is counted against ``cap`` before the next grows: "<count> <what.format(length)> <cap>".
+    """
+    for _ in range(steps):
+        words = [w for p in words for c in _DIGITS[:alphabet] for w in [p + c] if keep(w)]
+        if len(words) > cap:
+            raise OutputGuardExceeded(f"{len(words)} {what.format(len(words[0]))} {cap}")
+    return words
+
+
+def _clean(spec: SftSpec) -> Callable[[str], bool]:
+    """Whether a word with a clean prefix is clean: it can hold a forbidden word only as a suffix."""
+    forbidden = frozenset(spec.forbidden)
+    suffixes = [slice(-n, None) for n in sorted({len(w) for w in forbidden})]
+    return lambda w: forbidden.isdisjoint(map(w.__getitem__, suffixes))
 
 
 def _build_graph(spec: SftSpec) -> DeBruijnGraph:
-    """Grow the clean words one symbol at a time, read edges off those one longer than a window, prune.
-
-    A word whose prefix is clean can hold a forbidden word only as a
-    suffix, so each new word checks its suffixes against the forbidden
-    set.  Words grow in sorted order.  Every length up to the window is
-    counted against WINDOW_GUARD before the next one grows.
-    """
-    forbidden = frozenset(spec.forbidden)
-    suffixes = [slice(-n, None) for n in sorted({len(w) for w in forbidden})]
-
-    def grow(words: list[str]) -> list[str]:
-        """The clean one-symbol extensions of clean words, in order."""
-        return [
-            w for p in words for c in _DIGITS[: spec.alphabet] for w in [p + c]
-            if forbidden.isdisjoint(map(w.__getitem__, suffixes))
-        ]
-
+    """Grow the clean windows, read edges off the clean words one longer, prune."""
     window = max(spec.memory - 1, 1)
-    words = [""]
-    for size in range(1, window + 1):
-        words = grow(words)
-        if len(words) > WINDOW_GUARD:
-            raise OutputGuardExceeded(f"{len(words)} clean words of length {size} exceed the window cap {WINDOW_GUARD}")
+    clean = _clean(spec)
+    words = _grow([""], window, spec.alphabet, clean, WINDOW_GUARD, "clean words of length {} exceed the window cap")
     index = {w: i for i, w in enumerate(words)}
     edges: list[list[tuple[int, int]]] = [[] for _ in words]  # per window: (symbol, dst)
     preds = [0] * len(words)
-    for e in grow(words):
+    # at most alphabet edges per window, so the capped windows bound the edge level
+    for e in _grow(words, 1, spec.alphabet, clean, spec.alphabet * WINDOW_GUARD, ""):
         u, d = index[e[:-1]], index[e[1:]]
         edges[u].append((int(e[-1]), d))
         preds[d] |= 1 << u
@@ -351,56 +354,38 @@ def graph_dot(spec: SftSpec) -> str:
 
 
 def blocks(spec: ShiftSpec, n: int) -> frozenset[str]:
-    """All admissible words of length n (words occurring in points)."""
+    """All admissible words of length n (words occurring in points), capped as ENUMERATION_GUARD says."""
     if n < 1:
         raise ValueError("word length must be >= 1")
     ctx = _ctx(spec)
-    cached = ctx._blocks.get(n)
-    if cached is not None:
-        return cached
-    if isinstance(spec, SftSpec):
-        out = _sft_blocks(ctx, n)
-    else:
-        out = _spacing_blocks(spec, n)
-    ctx._blocks[n] = out
-    return out
+    if n not in ctx._blocks:
+        ctx._blocks[n] = frozenset(_words(ctx, n))
+    return ctx._blocks[n]
 
 
-def _sft_blocks(ctx: _Ctx, n: int) -> frozenset[str]:
-    g = ctx.graph
-    if not g.vertices:
-        return frozenset()
-    if n <= g.window:
-        return frozenset(v[i : i + n] for v in g.vertices for i in range(g.window - n + 1))
-    words = list(g.vertices)
-    ends = list(range(len(g.vertices)))
-    for _ in range(n - g.window):
-        nxt_words, nxt_ends = [], []
-        for w, e in zip(words, ends):
-            for s, d in g.out[e]:
-                nxt_words.append(w + _DIGITS[s])
-                nxt_ends.append(d)
-        words, ends = nxt_words, nxt_ends
-    return frozenset(words)
-
-
-def _spacing_blocks(spec: SpacingSpec, n: int) -> frozenset[str]:
+def _words(ctx: _Ctx, n: int) -> list[str]:
+    """The admissible words of length n in sorted order, repeated when n is below the window."""
+    what, cap = "admissible words of length {} exceed the enumeration cap", ENUMERATION_GUARD * 20 // max(n, 20)
+    g, spec = ctx.graph, ctx.spec
+    if g is not None:
+        if n <= g.window:  # a word inside a surviving window starts one: a shift of a point is a point
+            return [v[:n] for v in g.vertices]
+        clean, alive = _clean(spec), frozenset(g.vertices)
+        path = lambda w: w[-g.window :] in alive and clean(w)  # a clean step into a surviving window
+        return _grow(list(g.vertices), n - g.window, spec.alphabet, path, cap, what)
     if n > spec.horizon:
         raise HorizonExceeded(f"word length {n} exceeds horizon {spec.horizon}")
-    comp = _ctx(spec).complement
-    out: list[str] = []
+    comp, top = ctx.complement, max(spec.complement, default=0)
 
-    def extend(prefix: str, ones: tuple[int, ...]) -> None:
-        if len(prefix) == n:
-            out.append(prefix)
-            return
-        pos = len(prefix) + 1
-        extend(prefix + "0", ones)
-        if all((pos - o) not in comp for o in ones):
-            extend(prefix + "1", ones + (pos,))
+    def spaced(w: str) -> bool:
+        """Whether a last 1 has no earlier 1 a banned gap back; none lies past the largest banned gap."""
+        pos = back = len(w) - 1
+        while w[pos] == "1" and (back := w.rfind("1", max(pos - top, 0), back)) >= 0:
+            if pos - back in comp:
+                return False
+        return True
 
-    extend("", ())
-    return frozenset(out)
+    return _grow([""], n, 2, spaced, cap, what)
 
 
 def _constraint_map(constraints: Iterable[tuple[int, int]]) -> dict[int, int]:

@@ -23,7 +23,7 @@ The three constructions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import shift_core
 from .errors import ConnectorNotFound, NoCoprimePrime, OutputGuardExceeded, PreconditionFailed, SpecError
@@ -45,6 +45,7 @@ __all__ = [
     "WitnessCertificate",
     "certificate_to_dict",
     "certificate_from_dict",
+    "check_prefix_total",
     "try_certificate",
     "witness_directional_coprime",
     "witness_directional_power",
@@ -133,16 +134,13 @@ def try_certificate(
     The multiplier is |u| * alpha * base**k, with base ``directional_base``
     (``l`` when not given).  Raises AssertionError when no admissible
     prefix meets the constraints, and OutputGuardExceeded, before anything
-    is built, when the prefix would be longer than PREFIX_GUARD: its length
-    is the largest constrained position, max(|u|, multiplier * |v|).
+    is built, when the prefix would be longer than PREFIX_GUARD.
     """
     directional_base = directional_base or l
     multiplier = u.length * alpha * directional_base**k
     length = max(u.length, multiplier * v.length)
     if length > PREFIX_GUARD:
-        # a length past 64 bits is named by its bit length: decimal conversion is quadratic and capped
-        size = length if length.bit_length() <= 64 else f"at least 2**{length.bit_length() - 1}"
-        raise OutputGuardExceeded(f"a prefix of {size} symbols exceeds the prefix cap {PREFIX_GUARD}")
+        check_prefix_total(u, v, [multiplier])  # raises the one-prefix message
     mcs = multiplier_constraints(u, v, multiplier)
     prefix = least_block(omega, l, length, mcs.groups) if mcs.satisfiable_form else None
     if prefix is None:
@@ -159,8 +157,27 @@ def try_certificate(
         directional_base=directional_base,
         cover=cover,
     )
-    _self_check(omega, l, cert)
+    why = prefix_fault(omega, l, cert.constraints, cert.prefix)
+    if why:
+        raise AssertionError(why)
     return cert
+
+
+def check_prefix_total(u: Pattern, v: Pattern, multipliers: Iterable[int]) -> None:
+    """OutputGuardExceeded, before any is built, when one prefix or all of them together pass PREFIX_GUARD.
+
+    A multiplier's prefix ends at its largest constrained position, max(|u|, multiplier * |v|).
+    """
+    total = 0
+    for count, multiplier in enumerate(multipliers, start=1):
+        length = max(u.length, multiplier * v.length)
+        if length > PREFIX_GUARD:
+            # a length past 64 bits is named by its bit length: decimal conversion is quadratic and capped
+            size = length if length.bit_length() <= 64 else f"at least 2**{length.bit_length() - 1}"
+            raise OutputGuardExceeded(f"a prefix of {size} symbols exceeds the prefix cap {PREFIX_GUARD}")
+        total += length
+        if total > PREFIX_GUARD:
+            raise OutputGuardExceeded(f"{count} prefixes of {total} symbols exceed the prefix cap {PREFIX_GUARD}")
 
 
 def prefix_fault(omega: ShiftSpec, l: int, groups: tuple, prefix: str) -> Optional[str]:
@@ -181,12 +198,6 @@ def prefix_fault(omega: ShiftSpec, l: int, groups: tuple, prefix: str) -> Option
     if not all(word_admissible(omega, word) for word in chain_words(prefix, l)):
         return "prefix is not an admissible block"
     return None
-
-
-def _self_check(omega: ShiftSpec, l: int, cert: WitnessCertificate) -> None:
-    why = prefix_fault(omega, l, cert.constraints, cert.prefix)
-    if why:
-        raise AssertionError(why)
 
 
 def _prime_factors(n: int) -> set[int]:
@@ -324,6 +335,7 @@ def witness_directional_power(
     cover = _connector_cover(omega, l, n, u, v)
     k1 = decompose(u.length, l).k
     k = (cover.common_offset - k1) // n
+    check_prefix_total(u, v, (u.length * alpha * q**k for alpha in range(1, alpha_bound + 1) if alpha % q))
     certs = tuple(
         try_certificate(omega, l, u, v, alpha, k, "directional_power", directional_base=q, cover=cover)
         for alpha in a_set(q, alpha_bound)

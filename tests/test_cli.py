@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -259,7 +260,102 @@ def test_blocks_past_the_enumeration_cap_exits_2(capsys, tmp_path):
     path.write_text(json.dumps({"kind": "sft", "alphabet": 2, "forbidden": []}))
     code, out, err = run(capsys, "blocks", "--spec", str(path), "--n", "30", "--l", "2")
     assert (code, out) == (2, "")
-    assert err == f"error: {2**30} blocks exceed the enumeration cap 10000000\n"
+    assert err == f"error: {2**30} blocks exceed the enumeration cap {2**20}\n"
+
+
+_EXTREME_SPECS = {
+    "golden": {"kind": "sft", "alphabet": 2, "forbidden": ["11"]},
+    "full2": {"kind": "sft", "alphabet": 2, "forbidden": []},
+    "full10": {"kind": "sft", "alphabet": 10, "forbidden": []},
+    "dense": {"kind": "spacing", "class": "cofinite", "complement": list(range(1, 1500))},
+    "free": {"kind": "spacing", "class": "cofinite", "complement": []},
+    "short": {"kind": "spacing", "class": "cofinite", "complement": [1, 2], "horizon": 5},
+    "thick20": {"kind": "spacing", "class": "thick", "complement": [2, 5, 11, 17], "horizon": 20},
+}
+
+_PAIR = "--l 2 --u block:0 --v block:0"
+
+
+def _too_many(count, length, cap):
+    return f"error: {count} admissible words of length {length} exceed the enumeration cap {cap}\n"
+
+
+# (call, capped child, exit code, stderr); a capped child runs a call that would allocate past
+# 1 GiB if its cap were missing or late
+_EXTREME_CALLS = [
+    # past 20 symbols a word, the cap is 20 * 2**20 symbols: 2**20 * 20 // 60 = 349525 words at n = 60
+    ("blocks --spec golden --n 60", True, 2, _too_many(514229, 27, 349525)),
+    ("blocks --spec full2 --n 40", True, 2, _too_many(2**20, 20, 2**19)),
+    ("blocks --spec full10 --n 8", True, 2, _too_many(10**7, 7, 2**20)),
+    ("blocks --spec dense --n 1200", True, 0, ""),
+    ("blocks --spec dense --n 2100", True, 2, _too_many(10015, 1629, 9986)),  # 1-2 ones a word
+    ("blocks --spec full2 --n 23 --l 2", True, 2, f"error: {2**23} blocks exceed the enumeration cap {2**20}\n"),
+    (
+        f"witness --spec golden {_PAIR} --mode directional-coprime --modulus 3 --alpha-bound 100000", True, 2,
+        f"error: 683 prefixes of 1049601 symbols exceed the prefix cap {2**20}\n",
+    ),
+    (
+        f"witness --spec golden {_PAIR} --mode directional-power --alpha-bound 100000", True, 2,
+        f"error: 1025 prefixes of 1050625 symbols exceed the prefix cap {2**20}\n",
+    ),
+    ("admissible --spec short --l 2 --pattern l=2;support=1,64;values=1,1", False, 2,
+     "error: position 7 exceeds horizon 5\n"),
+    ("campaign --spec thick20", False, 2, "error: position 21 exceeds horizon 20\n"),
+    ("offset-bound 6 10000000", False, 0, ""),
+    ("blocks --spec golden --n -1", False, 2, "error: word length must be >= 1\n"),
+    ("offset-bound 2 0", False, 2, "error: expected n >= 1, got 0\n"),
+    ("dim --terms 0", False, 2, "error: need at least one term\n"),
+    (f"probe --spec golden {_PAIR} --mode directional --q 0", False, 2, "error: modulus must be >= 2\n"),
+    (f"witness --spec golden {_PAIR} --mode exact --k -1", False, 2, "error: k must be nonnegative\n"),
+    (f"witness --spec golden {_PAIR} --mode directional-power --power 0", False, 2, "error: power must be >= 1\n"),
+]
+
+
+def _extreme_argv(call, tmp_path):
+    argv = call.split()
+    for i, arg in enumerate(argv):
+        if argv[i - 1] == "--spec":
+            argv[i] = str(tmp_path / f"{arg}.json")
+            pathlib.Path(argv[i]).write_text(json.dumps(_EXTREME_SPECS[arg]))
+    return argv
+
+
+def _run_capped(argv, timeout=60):
+    return subprocess.run(
+        [sys.executable, "-m", "multishift", *argv],
+        capture_output=True, text=True, env=_cli_env(), preexec_fn=_cap_address_space, timeout=timeout,
+    )
+
+
+@pytest.mark.parametrize("call, capped, code, stderr", _EXTREME_CALLS, ids=[c[0] for c in _EXTREME_CALLS])
+def test_extreme_arguments_exit_with_a_message(capsys, tmp_path, call, capped, code, stderr):
+    # an extreme argument gets an answer or a message: exit 0, 1 or 2, no traceback, and a
+    # message with every exit 2; the calls that would allocate run under a 1 GiB address space
+    argv = _extreme_argv(call, tmp_path)
+    start = time.monotonic()
+    if capped:
+        done = _run_capped(argv)
+        got_code, err = done.returncode, done.stderr
+    else:
+        got_code, _, err = run(capsys, *argv)
+    elapsed = time.monotonic() - start
+    assert got_code in (0, 1, 2) and got_code == code, err
+    assert not any(word in err for word in ("Traceback", "MemoryError", "RecursionError")), err
+    assert err == stderr and (code != 2 or err.startswith("error:"))
+    assert code != 0 or elapsed < 5, f"{call} took {elapsed:.1f} s"  # a refusal is bounded by its cap
+
+
+@pytest.mark.parametrize("spec, n, code", [("full2", 20, 0), ("free", 20, 0), ("free", 21, 2)])
+def test_blocks_print_a_list_at_the_enumeration_cap(tmp_path, spec, n, code):
+    # 2**20 words of length 20, in both modes, print under a 1 GiB address space; one symbol
+    # longer is past the cap, and so are the 2**20 words of length 20 that are 21 * 2**20 symbols
+    # one symbol on (the finite-type case is `blocks --spec full2 --n 40` above)
+    done = _run_capped(_extreme_argv(f"blocks --spec {spec} --n {n}", tmp_path))
+    assert done.returncode == code, done.stderr[-500:]
+    if code == 0:
+        assert json.loads(done.stdout)["count"] == 2**20
+    else:
+        assert (done.stdout, done.stderr) == ("", _too_many(2**20, 20, 2**20 * 20 // 21))
 
 
 def test_parser_is_built_once_and_reused(capsys, golden_spec):
@@ -348,9 +444,10 @@ def test_campaign_gap_set_rows_match_the_lazy_path_near_the_horizon(capsys, tmp_
             assert fast == outcome(path), (cls, comp, horizon)
         codes[cls, comp[0]] = fast[0], fast[2]
         outs[cls, comp[0]] = fast[1]
-    # the thick spec with banned gap 2 runs past horizon 20 on both paths; with more room, its
-    # directional cover exceeds the prefix cap, which refutes nothing: the check is inconclusive
-    failure = (1, ["error: position 21 exceeds horizon 20"]) if horizon == 20 else (0, [])
+    # the thick spec with banned gap 2 runs past horizon 20 on both paths, a bounded-search error
+    # (exit 2); with more room, its directional cover exceeds the prefix cap, which refutes
+    # nothing: the check is inconclusive
+    failure = (2, ["error: position 21 exceeds horizon 20"]) if horizon == 20 else (0, [])
     assert codes == {("cofinite", 1): (0, []), ("cofinite", 3): (0, []), ("thick", 1): (0, []), ("thick", 2): failure}
     if horizon != 20:
         row = json.loads(outs["thick", 2].splitlines()[0])

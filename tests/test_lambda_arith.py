@@ -73,6 +73,26 @@ def test_offset_bound_pinned():
     assert offset_bound(4, 8).M == 1
 
 
+def _offset_bound_by_scan(l, n):
+    """Reference: the largest valuation term over every k in A_{l,N}, scanned, plus one."""
+    best = 0
+    for k in a_set(l, n):
+        for p, m in factorization(l):
+            best = max(best, decompose(k, p).k // m)
+    return best + 1
+
+
+def test_offset_bound_closed_form_matches_the_scan():
+    # the closed form reads the largest power of each p**m below N; the scan visits every k <= N
+    for l in range(2, 41):
+        for n in [*range(1, 100), 127, 128, 255, 256, 599, 1000]:
+            assert offset_bound(l, n).M == _offset_bound_by_scan(l, n), (l, n)
+    assert offset_bound(6, 10**7).M == 24  # 2**23 <= 10**7 < 2**24
+    assert 3**628 <= 10**300 < 3**629 and offset_bound(12, 10**300).M == 629
+    with pytest.raises(ValueError, match="expected n >= 1, got 0"):
+        offset_bound(2, 0)
+
+
 @pytest.mark.parametrize("l", [2, 4, 6, 12])
 def test_offset_bound_containment(l):
     # brute force: a * b lands within M chain shifts, for every N up to 20

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 import time
@@ -148,19 +149,35 @@ def test_blocks_pinned():
     assert blocks(spacing("cofinite", [1, 2]), 3) == frozenset({"000", "001", "010", "100"})
 
 
+def _blocks_families():
+    rng = random.Random(25)
+    gaps = [spacing("cofinite", rng.sample(range(1, 9), rng.randint(0, 4))) for _ in range(6)]
+    gaps += [spacing("thick", rng.sample(range(1, 11), rng.randint(1, 5))) for _ in range(6)]
+    return list(dict.fromkeys(binary_sft_family(3) + random_sft_family(5, seed=25, alphabet=3) + gaps))
+
+
 def test_blocks_match_bruteforce_language():
-    # includes dead-end cases such as {00,01} where pure scanning overcounts
-    for spec in all_small_sfts(2):
-        for n in range(1, 7):
-            assert blocks(spec, n) == frozenset(language(spec, n)), spec
-    for spec in (sft(2, ["000", "101"]), sft(2, ["010"]), sft(2, ["00", "011"])):
-        for n in range(1, 8):
-            assert blocks(spec, n) == frozenset(language(spec, n)), spec
+    # every binary forbidden set with words up to length 3 (390 distinct specs, with dead-end
+    # cases such as {00,01} where pure scanning overcounts), seeded three-symbol specs, and seeded
+    # cofinite and thick gap sets with banned gaps up to 8 and 10, shorter and longer than some words
+    for spec in _blocks_families():
+        for n in range(1, 11):
+            assert blocks(spec, n) == frozenset(language(spec, n)), (spec, n)
 
 
 def test_blocks_spacing_horizon():
     with pytest.raises(HorizonExceeded):
         blocks(spacing("cofinite", [1], horizon=5), 6)
+
+
+def test_window_graphs_match_their_pinned_digest():
+    # vertices, labelled edges and pruned windows of every binary spec with words up to length 2
+    # and 40 seeded ones with words up to length 3, in order
+    digest = hashlib.sha256()
+    for spec in binary_sft_family(2) + random_sft_family(40, seed=7):
+        g = build_graph(spec)
+        digest.update(repr((spec, g.window, g.vertices, g.out, g.pruned)).encode())
+    assert digest.hexdigest() == "df69776c2341bb25131ef9e4e7bd48161a68b23921057673d29c5b1dd9019fbc"
 
 
 # --- partial extendability ---------------------------------------------------

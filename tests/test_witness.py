@@ -1,9 +1,10 @@
 import random
+import time
 
 import pytest
 
 from brute import extract_fiber_point
-from multishift.errors import InadmissiblePattern, NoCoprimePrime, PreconditionFailed
+from multishift.errors import InadmissiblePattern, NoCoprimePrime, OutputGuardExceeded, PreconditionFailed
 from multishift.lambda_arith import a_set
 from multishift.mult_shift import (
     Pattern,
@@ -19,6 +20,7 @@ from multishift.shift_core import alphabet_of, blocks, least_word, sft, spacing
 from multishift.witness import (
     PREFIX_GUARD,
     certificate_from_dict,
+    check_prefix_total,
     certificate_to_dict,
     prefix_fault,
     witness_directional_coprime,
@@ -438,6 +440,24 @@ def test_exact_certificate_at_the_prefix_cap():
         False,
         "prefix is not an admissible block",
     )
+
+
+def test_prefix_total_is_checked_before_any_prefix_is_built():
+    u = block("0", 2, GOLDEN)
+    check_prefix_total(u, u, [2**19, 2**19])  # at the cap
+    with pytest.raises(OutputGuardExceeded) as exc:
+        check_prefix_total(u, u, [2**19, 2**19, 1])
+    assert str(exc.value) == f"3 prefixes of {2**20 + 1} symbols exceed the prefix cap {PREFIX_GUARD}"
+    with pytest.raises(OutputGuardExceeded) as exc:  # one prefix past the cap keeps its own message
+        check_prefix_total(u, u, [1, 2**20 + 1])
+    assert str(exc.value) == f"a prefix of {2**20 + 1} symbols exceeds the prefix cap {PREFIX_GUARD}"
+    # a million multipliers: the check stops at the first prefix past the total, before building any
+    start = time.process_time()
+    with pytest.raises(OutputGuardExceeded, match="^1025 prefixes of 1050625 symbols exceed"):
+        witness_directional_power(GOLDEN, 2, 1, u, u, 10**6)
+    assert time.process_time() - start < 1
+    dw = witness_directional_power(GOLDEN, 2, 1, u, u, 9)  # small totals build as before
+    assert [c.alpha for c in dw.certificates] == [1, 3, 5, 7, 9]
 
 
 # --- serialization ---------------------------------------------------------------
