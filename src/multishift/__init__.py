@@ -10,6 +10,7 @@ finite-constraint oracle.
 
 from .dimension import SeriesResult, dimB_goldenmean, fib
 from .errors import (
+    CertificateFailed,
     ConnectorNotFound,
     HorizonExceeded,
     InadmissiblePattern,

@@ -16,9 +16,20 @@ import json
 import sys
 
 from . import dimension, mult_shift, oracle, shift_core, witness as witness_mod
-from .errors import HorizonExceeded, MultishiftError, OutputGuardExceeded, SpecError, UndecidableProperty
-from .lambda_arith import decompose, offset_bound
+from .errors import (
+    CertificateFailed,
+    HorizonExceeded,
+    MultishiftError,
+    OutputGuardExceeded,
+    SpecError,
+    UndecidableProperty,
+)
+from .lambda_arith import a_set, decompose, offset_bound
 from .shift_core import PROPERTIES, sft, spec_from_dict, spec_to_dict
+
+
+# the 40-digit partial sum stops changing after about 140 terms; 1000 terms take under 0.1 s
+DIM_TERMS_CAP = 1000
 
 
 def parse_spec(path: str):
@@ -100,9 +111,9 @@ def cmd_witness(args) -> int:
         if args.alpha_bound < 1:
             raise ValueError("alpha_bound must be >= 1")
         k, build = witness_mod.witness_directional_coprime(spec, args.l, args.modulus, u, v)
-        alphas = range(1, args.alpha_bound + 1)
-        witness_mod.check_prefix_total(u, v, (u.length * a * args.modulus**k for a in alphas if a % args.modulus))
-        certs = [build(a) for a in alphas if a % args.modulus]
+        alphas = a_set(args.modulus, args.alpha_bound)
+        witness_mod.check_prefix_total(u, v, (u.length * a * args.modulus**k for a in alphas))
+        certs = [build(a) for a in alphas]
     elif args.mode == "directional-power":
         dw = witness_mod.witness_directional_power(spec, args.l, args.power, u, v, args.alpha_bound)
         certs = list(dw.certificates)
@@ -119,6 +130,10 @@ def cmd_witness(args) -> int:
             _emit({"witness": None})
             return 1
         certs = [cert]
+    for cert in certs:  # the builders check nothing: every certificate passes the verifier before any prints
+        ok, reason = oracle.verify_certificate(spec, args.l, cert)
+        if not ok:
+            raise CertificateFailed(reason)
     payload = [witness_mod.certificate_to_dict(c) for c in certs]
     payload = payload[0] if len(payload) == 1 else payload
     _emit({"spec": spec_to_dict(spec), "l": args.l, "certificate": payload})
@@ -207,6 +222,8 @@ def cmd_campaign(args) -> int:
 
 
 def cmd_dim(args) -> int:
+    if args.terms > DIM_TERMS_CAP:
+        raise ValueError(f"--terms {args.terms} exceeds the cap {DIM_TERMS_CAP}")
     result = dimension.dimB_goldenmean(args.terms)
     _emit(
         {

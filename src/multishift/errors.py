@@ -43,5 +43,9 @@ class ConnectorNotFound(MultishiftError):
     """No common connector offset was found within the search bound."""
 
 
+class CertificateFailed(MultishiftError):
+    """A constructor built no prefix for its certificate, or the verifier rejected the certificate."""
+
+
 class OutputGuardExceeded(MultishiftError):
     """An enumeration would produce more output than the configured cap."""

@@ -91,10 +91,10 @@ def exists_witness_exact(
 ) -> Optional[WitnessCertificate]:
     """Exact witness decision for the multiplier |u| * alpha * l**k.
 
-    Returns a self-checked certificate when a witness exists, None when
-    provably none does.  Exactness rests on fiber independence: the
-    merged constraints decompose over chains, and each chain is decided
-    by base-space reachability.  The pair engine decides first, so a
+    Returns a certificate when a witness exists (``verify_certificate``
+    checks it), None when provably none does.  Exactness rests on fiber
+    independence: the merged constraints decompose over chains, and each
+    chain is decided by base-space reachability.  The pair engine decides first, so a
     prefix is built only for a yes.
     """
     if alpha < 1:
@@ -133,7 +133,7 @@ def verify_certificate(omega: ShiftSpec, l: int, cert: WitnessCertificate) -> tu
         return False, f"constraints conflict at positions {[c[0] for c in mcs.conflicts]}"
     if mcs.groups != cert.constraints:
         return False, "constraint transcript disagrees with the patterns and multiplier"
-    why = witness_mod.prefix_fault(omega, l, mcs.groups, cert.prefix)
+    why = prefix_fault(omega, l, mcs.groups, cert.prefix)
     if why:
         return False, why
     # last: the prefix, now known to cover |u| * |v|, bounds the cover's offset computations
@@ -142,6 +142,26 @@ def verify_certificate(omega: ShiftSpec, l: int, cert: WitnessCertificate) -> tu
         if why:
             return False, f"cover: {why}"
     return True, "ok"
+
+
+def prefix_fault(omega: ShiftSpec, l: int, groups: tuple, prefix: str) -> Optional[str]:
+    """Why ``prefix`` is no admissible block meeting the per-chain (depth, symbol) groups, or None.
+
+    Read a depth level at a time: by fiber independence the prefix is
+    admissible exactly when every chain word is, so each distinct word is
+    checked once.
+    """
+    needed = max(rep * l ** (d - 1) for rep, cons in groups for d, _ in cons)
+    if len(prefix) < needed:
+        return f"prefix length {len(prefix)} does not cover position {needed}"
+    for rep, cons in groups:
+        for depth, sym in cons:
+            pos = rep * l ** (depth - 1)
+            if int(prefix[pos - 1]) != sym:
+                return f"prefix violates the constraint at position {pos}"
+    if not all(shift_core.word_admissible(omega, word) for word in mult_shift.chain_words(prefix, l)):
+        return "prefix is not an admissible block"
+    return None
 
 
 def _cover_fault(omega: ShiftSpec, l: int, u: Pattern, v: Pattern, cert: WitnessCertificate) -> Optional[str]:

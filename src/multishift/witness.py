@@ -26,17 +26,17 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from . import shift_core
-from .errors import ConnectorNotFound, NoCoprimePrime, OutputGuardExceeded, PreconditionFailed, SpecError
-from .lambda_arith import a_set, decompose, factorization, next_prime_avoiding, product_offset_bound, xi
-from .mult_shift import (
-    Pattern,
-    chain_words,
-    format_pattern,
-    least_block,
-    multiplier_constraints,
-    require_admissible,
+from .errors import (
+    CertificateFailed,
+    ConnectorNotFound,
+    NoCoprimePrime,
+    OutputGuardExceeded,
+    PreconditionFailed,
+    SpecError,
 )
-from .shift_core import ShiftSpec, decide, least_word, mixing_gap_index, word_admissible, word_pins
+from .lambda_arith import a_set, decompose, factorization, next_prime_avoiding, product_offset_bound, xi
+from .mult_shift import Pattern, format_pattern, least_block, multiplier_constraints, require_admissible
+from .shift_core import ShiftSpec, decide, least_word, mixing_gap_index, word_pins
 
 __all__ = [
     "ConnectorCover",
@@ -129,12 +129,14 @@ def try_certificate(
     directional_base: Optional[int] = None,
     cover: Optional[ConnectorCover] = None,
 ) -> WitnessCertificate:
-    """Build and self-check a certificate for a multiplier the caller knows connects u to v.
+    """Build a certificate for a multiplier the caller knows connects u to v.
 
     The multiplier is |u| * alpha * base**k, with base ``directional_base``
-    (``l`` when not given).  Raises AssertionError when no admissible
-    prefix meets the constraints, and OutputGuardExceeded, before anything
-    is built, when the prefix would be longer than PREFIX_GUARD.
+    (``l`` when not given).  Nothing here checks the result:
+    ``oracle.verify_certificate`` does, from the patterns alone.  Raises
+    CertificateFailed when no admissible prefix meets the constraints, and
+    OutputGuardExceeded, before anything is built, when the prefix would
+    be longer than PREFIX_GUARD.
     """
     directional_base = directional_base or l
     multiplier = u.length * alpha * directional_base**k
@@ -144,8 +146,8 @@ def try_certificate(
     mcs = multiplier_constraints(u, v, multiplier)
     prefix = least_block(omega, l, length, mcs.groups) if mcs.satisfiable_form else None
     if prefix is None:
-        raise AssertionError(f"{construction} construction failed at alpha={alpha}, k={k}")
-    cert = WitnessCertificate(
+        raise CertificateFailed(f"{construction} construction failed at alpha={alpha}, k={k}")
+    return WitnessCertificate(
         alpha=alpha,
         k=k,
         multiplier=multiplier,
@@ -157,10 +159,6 @@ def try_certificate(
         directional_base=directional_base,
         cover=cover,
     )
-    why = prefix_fault(omega, l, cert.constraints, cert.prefix)
-    if why:
-        raise AssertionError(why)
-    return cert
 
 
 def check_prefix_total(u: Pattern, v: Pattern, multipliers: Iterable[int]) -> None:
@@ -178,26 +176,6 @@ def check_prefix_total(u: Pattern, v: Pattern, multipliers: Iterable[int]) -> No
         total += length
         if total > PREFIX_GUARD:
             raise OutputGuardExceeded(f"{count} prefixes of {total} symbols exceed the prefix cap {PREFIX_GUARD}")
-
-
-def prefix_fault(omega: ShiftSpec, l: int, groups: tuple, prefix: str) -> Optional[str]:
-    """Why ``prefix`` is no admissible block meeting the per-chain (depth, symbol) groups, or None.
-
-    Read a depth level at a time: by fiber independence the prefix is
-    admissible exactly when every chain word is, so each distinct word is
-    checked once.
-    """
-    needed = max(rep * l ** (d - 1) for rep, cons in groups for d, _ in cons)
-    if len(prefix) < needed:
-        return f"prefix length {len(prefix)} does not cover position {needed}"
-    for rep, cons in groups:
-        for depth, sym in cons:
-            pos = rep * l ** (depth - 1)
-            if int(prefix[pos - 1]) != sym:
-                return f"prefix violates the constraint at position {pos}"
-    if not all(word_admissible(omega, word) for word in chain_words(prefix, l)):
-        return "prefix is not an admissible block"
-    return None
 
 
 def _prime_factors(n: int) -> set[int]:
@@ -335,10 +313,11 @@ def witness_directional_power(
     cover = _connector_cover(omega, l, n, u, v)
     k1 = decompose(u.length, l).k
     k = (cover.common_offset - k1) // n
-    check_prefix_total(u, v, (u.length * alpha * q**k for alpha in range(1, alpha_bound + 1) if alpha % q))
+    alphas = a_set(q, alpha_bound)
+    check_prefix_total(u, v, (u.length * alpha * q**k for alpha in alphas))
     certs = tuple(
         try_certificate(omega, l, u, v, alpha, k, "directional_power", directional_base=q, cover=cover)
-        for alpha in a_set(q, alpha_bound)
+        for alpha in alphas
     )
     return DirectionalWitness(q=q, k=k, certificates=certs, cover=cover)
 

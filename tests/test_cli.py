@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from multishift import witness
 from multishift.cli import main, parse_spec
 from multishift.shift_core import sft, spacing
 
@@ -305,6 +306,8 @@ _EXTREME_CALLS = [
     ("blocks --spec golden --n -1", False, 2, "error: word length must be >= 1\n"),
     ("offset-bound 2 0", False, 2, "error: expected n >= 1, got 0\n"),
     ("dim --terms 0", False, 2, "error: need at least one term\n"),
+    ("dim --terms 1000", False, 0, ""),
+    ("dim --terms 100000", False, 2, "error: --terms 100000 exceeds the cap 1000\n"),
     (f"probe --spec golden {_PAIR} --mode directional --q 0", False, 2, "error: modulus must be >= 2\n"),
     (f"witness --spec golden {_PAIR} --mode exact --k -1", False, 2, "error: k must be nonnegative\n"),
     (f"witness --spec golden {_PAIR} --mode directional-power --power 0", False, 2, "error: power must be >= 1\n"),
@@ -379,6 +382,30 @@ def test_witness_inadmissible_exit_code(capsys, golden_spec):
     )
     assert code == 1
     assert "inadmissible" in err
+
+
+@pytest.mark.parametrize(
+    "mode",
+    ["transitive", "directional-coprime --modulus 3", "directional-power", "mixing --alpha 1 --k 3", "exact --k 3"],
+)
+def test_witness_prints_no_certificate_the_verifier_rejects(capsys, golden_spec, flip_one_pin, mode):
+    # a builder whose prefix breaks a pin: every mode verifies its certificates before it prints one
+    argv = ["witness", "--spec", golden_spec, "--l", "2", "--u", "block:0", "--v", "block:01", "--mode", *mode.split()]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: prefix violates the constraint at position {flip_one_pin[0]}\n"
+
+
+def test_campaign_fails_on_a_certificate_the_verifier_rejects(capsys, golden_spec, flip_one_pin):
+    code, out, _ = run(capsys, "campaign", "--spec", golden_spec, "--l", "2")
+    assert code == 1 and '"certificate_failed_verification"' in out
+
+
+def test_witness_reports_a_prefix_the_builder_cannot_build(capsys, golden_spec, monkeypatch):
+    monkeypatch.setattr(witness, "least_block", lambda *args: None)
+    code, out, err = run(capsys, "witness", "--spec", golden_spec, "--l", "2", "--u", "block:0", "--v", "block:01")
+    assert (code, out) == (1, "")
+    assert err == "error: transitive_prime_alpha construction failed at alpha=3, k=0\n"
 
 
 def test_probe_commands(capsys, ramp_spec):

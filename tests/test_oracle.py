@@ -19,7 +19,7 @@ from multishift.oracle import (
     random_sft_family,
     verify_certificate,
 )
-from multishift import shift_core
+from multishift import oracle, shift_core
 from multishift.shift_core import SpacingSpec, blocks, partial_extendable, sft, spacing
 
 GOLDEN = sft(2, ["11"])
@@ -548,6 +548,25 @@ def test_campaign_paper_anchored_rows():
         "directional_l2": "witnessed",
         "mixing": "witnessed",
     }
+
+
+def test_a_campaign_row_checks_each_certificate_once(monkeypatch):
+    # the builders check nothing: the verifier runs one prefix check per certificate it is handed
+    checks, built = [], []
+    prefix_fault, verify = oracle.prefix_fault, oracle.verify_certificate
+    monkeypatch.setattr(oracle, "prefix_fault", lambda *args: checks.append(args) or prefix_fault(*args))
+    monkeypatch.setattr(oracle, "verify_certificate", lambda *args: built.append(args[2]) or verify(*args))
+    row = oracle._campaign_row(GOLDEN, 2, SearchBudget())
+    assert {cert.construction for cert in built} == {"transitive_prime_alpha", "directional_power", "mixing_threshold"}
+    assert len(checks) == row.certificates_checked == len(built)
+    assert (row.certificate_failures, row.hard) == (0, [])
+
+
+def test_a_campaign_row_records_a_certificate_the_verifier_rejects(flip_one_pin):
+    row = oracle._campaign_row(GOLDEN, 2, SearchBudget())
+    assert flip_one_pin and row.certificate_failures == row.certificates_checked >= 1
+    assert {entry["kind"] for entry in row.hard} == {"certificate_failed_verification"}
+    assert row.hard[0]["reason"] == f"prefix violates the constraint at position {flip_one_pin[0]}"
 
 
 def test_campaign_jsonl_and_table():

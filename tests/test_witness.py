@@ -15,14 +15,13 @@ from multishift.mult_shift import (
     is_admissible,
     least_block,
 )
-from multishift.oracle import exists_witness_exact, verify_certificate
+from multishift.oracle import exists_witness_exact, prefix_fault, verify_certificate
 from multishift.shift_core import alphabet_of, blocks, least_word, sft, spacing
 from multishift.witness import (
     PREFIX_GUARD,
     certificate_from_dict,
     check_prefix_total,
     certificate_to_dict,
-    prefix_fault,
     witness_directional_coprime,
     witness_directional_power,
     witness_mixing,
@@ -424,7 +423,7 @@ def test_exact_certificate_at_the_prefix_cap():
     import dataclasses
 
     u = block("0", 2, GOLDEN)
-    cert = exists_witness_exact(GOLDEN, 2, u, u, 1, 20)  # builds and self-checks
+    cert = exists_witness_exact(GOLDEN, 2, u, u, 1, 20)  # builds the 2**20-symbol prefix
     assert len(cert.prefix) == PREFIX_GUARD
     assert verify_certificate(GOLDEN, 2, cert) == (True, "ok")
     # every golden-mean fill symbol is 0, so one flip breaks a pin: position 2**20 is depth 21 of chain 1
