@@ -51,6 +51,7 @@ from .oracle import (
     probe_transitive_X,
     random_sft_family,
     verify_certificate,
+    verify_certificates,
 )
 from .shift_core import (
     PropertyVerdict,

@@ -32,15 +32,22 @@ from .shift_core import PROPERTIES, sft, spec_from_dict, spec_to_dict
 DIM_TERMS_CAP = 1000
 
 
-def parse_spec(path: str):
-    """Load and normalize a shift-spec file, warning when normalization changed it."""
+def _load_json(path: str):
+    """The JSON value in a file; an unreadable file or malformed JSON raises SpecError naming the path."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise SpecError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # a number past the interpreter's digit limit for int conversion
+        raise SpecError(f"{path}: {exc}") from exc
+
+
+def parse_spec(path: str):
+    """Load and normalize a shift-spec file, warning when normalization changed it."""
+    data = _load_json(path)
     spec = spec_from_dict(data)
     if data.get("kind") == "sft":
         given = [str(w) for w in data.get("forbidden", [])]
@@ -130,10 +137,10 @@ def cmd_witness(args) -> int:
             _emit({"witness": None})
             return 1
         certs = [cert]
-    for cert in certs:  # the builders check nothing: every certificate passes the verifier before any prints
-        ok, reason = oracle.verify_certificate(spec, args.l, cert)
-        if not ok:
-            raise CertificateFailed(reason)
+    # the builders check nothing: every certificate passes the verifier before any prints
+    failed = [reason for ok, reason in oracle.verify_certificates(spec, args.l, certs) if not ok]
+    if failed:
+        raise CertificateFailed(failed[0])
     payload = [witness_mod.certificate_to_dict(c) for c in certs]
     payload = payload[0] if len(payload) == 1 else payload
     _emit({"spec": spec_to_dict(spec), "l": args.l, "certificate": payload})
@@ -141,8 +148,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.cert) as fh:
-        data = json.load(fh)
+    data = _load_json(args.cert)
     missing = [name for name in ("spec", "l", "certificate") if not isinstance(data, dict) or name not in data]
     if missing:
         raise SpecError(f"{args.cert}: certificate file is missing {missing}")
@@ -154,13 +160,10 @@ def cmd_verify(args) -> int:
     raw_list = raw if isinstance(raw, list) else [raw]
     if not raw_list:
         raise SpecError(f"{args.cert}: the certificate list is empty")
-    results = []
-    ok_all = True
-    for item in raw_list:
-        cert = witness_mod.certificate_from_dict(item)
-        ok, reason = oracle.verify_certificate(spec, l, cert)
-        ok_all &= ok
-        results.append({"ok": ok, "reason": reason, "multiplier": cert.multiplier})
+    certs = [witness_mod.certificate_from_dict(item) for item in raw_list]
+    answers = oracle.verify_certificates(spec, l, certs)
+    ok_all = all(ok for ok, _ in answers)
+    results = [{"ok": ok, "reason": reason, "multiplier": c.multiplier} for c, (ok, reason) in zip(certs, answers)]
     _emit({"verified": ok_all, "results": results})
     return 0 if ok_all else 1
 

@@ -50,6 +50,7 @@ __all__ = [
     "probe_transitive_X",
     "random_sft_family",
     "verify_certificate",
+    "verify_certificates",
 ]
 
 
@@ -111,37 +112,59 @@ def exists_witness_exact(
 
 
 def verify_certificate(omega: ShiftSpec, l: int, cert: WitnessCertificate) -> tuple[bool, str]:
-    """Re-check a certificate from scratch against the exact oracle.
+    """Re-check one certificate from scratch: ``verify_certificates`` on a one-element list."""
+    return verify_certificates(omega, l, [cert])[0]
 
-    Re-derives the constraint groups from the certificate's patterns and
-    multiplier, then checks the prefix satisfies them and is admissible.
-    A connector cover, when present, is checked claim by claim.
+
+def verify_certificates(omega: ShiftSpec, l: int, certs: Sequence[WitnessCertificate]) -> list[tuple[bool, str]]:
+    """Re-check certificates from scratch against the exact oracle, one (ok, reason) each.
+
+    Each certificate's constraint groups are re-derived from its patterns
+    and multiplier, then its prefix is checked to satisfy them and to be
+    admissible.  A connector cover, when present, is checked claim by
+    claim, once per distinct cover in the list: the cover check reads
+    nothing of a certificate but its patterns, directional base, depth k
+    and cover, so certificates that agree on those (every certificate of
+    one ``witness_directional_power`` call) share one answer.
     """
+    covers = {}  # (u, v, directional base, k, cover) -> _cover_fault's answer, for this call only
+    answers = []
+    for cert in certs:
+        why = _certificate_fault(omega, l, cert, covers)
+        answers.append((False, why) if why else (True, "ok"))
+    return answers
+
+
+def _certificate_fault(omega: ShiftSpec, l: int, cert: WitnessCertificate, covers: dict) -> Optional[str]:
+    """Why ``cert`` fails verification, or None; cover answers are read from and added to ``covers``."""
     try:
         u = parse_pattern(cert.u_literal, omega, base=l)
         v = parse_pattern(cert.v_literal, omega, base=l)
     except ValueError as exc:
-        return False, f"unparseable patterns: {exc}"
+        return f"unparseable patterns: {exc}"
     if (
         cert.directional_base < 2
-        or cert.k > cert.multiplier.bit_length()  # base**k would exceed the multiplier
+        # base**k >= 2**((bits(base) - 1) * k) > multiplier: refused before the power is taken
+        or (cert.directional_base.bit_length() - 1) * cert.k >= cert.multiplier.bit_length()
         or cert.multiplier != u.length * cert.alpha * cert.directional_base**cert.k
     ):
-        return False, "multiplier disagrees with (alpha, k, directional base)"
+        return "multiplier disagrees with (alpha, k, directional base)"
     mcs = multiplier_constraints(u, v, cert.multiplier)
     if not mcs.satisfiable_form:
-        return False, f"constraints conflict at positions {[c[0] for c in mcs.conflicts]}"
+        return f"constraints conflict at positions {[c[0] for c in mcs.conflicts]}"
     if mcs.groups != cert.constraints:
-        return False, "constraint transcript disagrees with the patterns and multiplier"
+        return "constraint transcript disagrees with the patterns and multiplier"
     why = prefix_fault(omega, l, mcs.groups, cert.prefix)
     if why:
-        return False, why
+        return why
     # last: the prefix, now known to cover |u| * |v|, bounds the cover's offset computations
-    if cert.cover is not None:
-        why = _cover_fault(omega, l, u, v, cert)
-        if why:
-            return False, f"cover: {why}"
-    return True, "ok"
+    if cert.cover is None:
+        return None
+    key = (cert.u_literal, cert.v_literal, cert.directional_base, cert.k, cert.cover)
+    if key not in covers:
+        covers[key] = _cover_fault(omega, l, u, v, cert)
+    why = covers[key]
+    return f"cover: {why}" if why else None
 
 
 def prefix_fault(omega: ShiftSpec, l: int, groups: tuple, prefix: str) -> Optional[str]:
@@ -745,12 +768,12 @@ def _campaign_row(spec: ShiftSpec, l: int, budget: SearchBudget) -> CampaignRow:
     return row
 
 
-def _record_cert(row: CampaignRow, spec: ShiftSpec, l: int, cert: WitnessCertificate, where: str) -> None:
-    ok, reason = verify_certificate(spec, l, cert)
-    row.certificates_checked += 1
-    if not ok:
-        row.certificate_failures += 1
-        row.hard.append({"check": where, "kind": "certificate_failed_verification", "reason": reason})
+def _record_certs(row: CampaignRow, spec: ShiftSpec, l: int, certs: Sequence[WitnessCertificate], where: str) -> None:
+    for ok, reason in verify_certificates(spec, l, certs):
+        row.certificates_checked += 1
+        if not ok:
+            row.certificate_failures += 1
+            row.hard.append({"check": where, "kind": "certificate_failed_verification", "reason": reason})
 
 
 def _check_transitivity(row, spec, l, budget, pats, grid) -> None:
@@ -768,9 +791,8 @@ def _check_transitivity(row, spec, l, budget, pats, grid) -> None:
             )
             row.checks["transitivity"] = "fail"
             return
-        for u, v in _subset_pairs(pats):
-            cert = witness_mod.witness_transitive(spec, l, u, v, k=0)
-            _record_cert(row, spec, l, cert, "transitivity")
+        certs = [witness_mod.witness_transitive(spec, l, u, v, k=0) for u, v in _subset_pairs(pats)]
+        _record_certs(row, spec, l, certs, "transitivity")
         row.checks["transitivity"] = "pass"
         return
     # predicted no uniform connections: exhibit a pattern pair no multiplier connects.  A
@@ -882,8 +904,7 @@ def _check_directional(row, spec, l, budget, pats, grid) -> None:
                     )
                     row.checks["directional"] = "fail"
                     return
-                for cert in dw.certificates:
-                    _record_cert(row, spec, l, cert, "directional")
+                _record_certs(row, spec, l, dw.certificates, "directional")
         row.checks["directional"] = "inconclusive" if capped else "pass"
     else:
         if row.x_probes["directional_l"] == "proved_negative" or row.x_probes["directional_l2"] == "proved_negative":
@@ -926,11 +947,10 @@ def _check_mixing(row, spec, l, budget, pats, grid) -> None:
                 row.checks["mixing"] = "fail"
                 return
         row.x_probes["mixing"] = "witnessed"
+        picks = [window[0], window[len(window) // 2], window[-1]]
         for u, v in _subset_pairs(pats):
             mw = witness_mod.witness_mixing(spec, l, u, v)
-            picks = [window[0], window[len(window) // 2], window[-1]]
-            for alpha, k in picks:
-                _record_cert(row, spec, l, mw.build(alpha, k), "mixing")
+            _record_certs(row, spec, l, [mw.build(alpha, k) for alpha, k in picks], "mixing")
         row.checks["mixing"] = "pass"
         return
     # predicted not mixing: some pair must fail at arbitrarily large multipliers.  That is the

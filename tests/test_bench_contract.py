@@ -1,5 +1,6 @@
 """The benchmark's view of the program: every function it traces must exist,
-and a plain seed-1 round of each workload runs clean and gives its pinned output.
+a plain seed-1 round of each workload runs clean and gives its pinned output,
+and the seed-1 campaign checks each connector cover once.
 
 ``bench/tracer.py`` wraps the functions listed in its ``TARGETS`` when a
 traced round starts; a renamed or deleted one would kill that round
@@ -61,3 +62,20 @@ def test_seed_1_round_runs_clean(tmp_path, monkeypatch, workload):
     report = json.loads((tmp_path / "round.json").read_text())
     assert (report["failures"], report["check_errors"]) == ([], [])
     assert report["digest"] == SEED_1_DIGESTS[workload]
+
+
+def test_seed_1_campaign_checks_each_cover_once(monkeypatch):
+    # every certificate of one directional witness carries the same cover: 1,352 covered
+    # certificates in this round, and the verifier checks each of the 208 distinct covers once
+    monkeypatch.syspath_prepend(str(TRACER.parent))
+    workloads = importlib.import_module("workloads")
+    from multishift import oracle, shift_core
+
+    checks, cover_fault = [], oracle._cover_fault
+    monkeypatch.setattr(oracle, "_cover_fault", lambda *args: checks.append(args) or cover_fault(*args))
+    inputs = workloads.campaign_inputs(1)
+    for d in inputs["specs"]:
+        for l in inputs["l_values"]:
+            oracle.campaign([shift_core.sft(d["alphabet"], d["forbidden"])], [l], oracle.SearchBudget())
+    covers = {(omega, l, c.u_literal, c.v_literal, c.directional_base, c.k, c.cover) for omega, l, _, _, c in checks}
+    assert len(checks) == len(covers) == 208

@@ -528,7 +528,24 @@ def test_malformed_spec_exit_code(capsys, tmp_path):
     path.write_text("{not json")
     code, _, err = run(capsys, "props", "--spec", str(path))
     assert code == 2
-    assert "error" in err
+    assert err == f"error: {path}:1:2: Expecting property name enclosed in double quotes\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("not json", ":1:1: Expecting value"),
+        ('{"l": ' + "9" * 5000 + "}", ": Exceeds the limit"),
+    ],
+    ids=["not_json", "long_number"],
+)
+def test_malformed_certificate_file_names_the_file(capsys, tmp_path, text, message):
+    # certificate files go through the spec files' loader, whose message names the file
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}{message}")
 
 
 @pytest.mark.parametrize(
@@ -659,6 +676,19 @@ def test_verify_rejects_inconsistent_multiplier(capsys, golden_spec, tmp_path):
     code, out, _ = _verify_payload(capsys, tmp_path, payload)
     assert code == 1
     assert "multiplier disagrees" in json.loads(out)["results"][0]["reason"]
+
+
+def test_verify_rejects_a_huge_directional_power_before_taking_it(tmp_path):
+    # (10**4000)**14000 has 56 million digits; its bit length alone shows it exceeds the multiplier
+    cert = {"alpha": 1, "k": 14000, "multiplier": 3 * 10**4289 + 7, "constraints": [[1, [[1, 0]]]], "prefix": "0",
+            "construction": "oracle_search", "u": "block:0", "v": "block:0", "directional_base": 10**4000}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"spec": {"kind": "sft", "alphabet": 2, "forbidden": ["11"]}, "l": 2, "certificate": cert}))
+    start = time.monotonic()
+    done = _run_capped(["verify", "--cert", str(path)], timeout=10)
+    assert time.monotonic() - start < 1
+    assert done.returncode == 1, done.stderr
+    assert json.loads(done.stdout)["results"][0]["reason"] == "multiplier disagrees with (alpha, k, directional base)"
 
 
 @pytest.mark.parametrize("drop", ["spec", "l", "certificate"])

@@ -15,7 +15,7 @@ from multishift.mult_shift import (
     is_admissible,
     least_block,
 )
-from multishift.oracle import exists_witness_exact, prefix_fault, verify_certificate
+from multishift.oracle import exists_witness_exact, prefix_fault, verify_certificate, verify_certificates
 from multishift.shift_core import alphabet_of, blocks, least_word, sft, spacing
 from multishift.witness import (
     PREFIX_GUARD,
@@ -213,6 +213,58 @@ def test_directional_power_square_modulus():
         assert cert.multiplier == 2 * cert.alpha * 4**dw.k
         ok, reason = verify_certificate(GOLDEN, 2, cert)
         assert ok, reason
+
+
+def _golden_directional_witness():
+    return witness_directional_power(GOLDEN, 2, 1, block("10", 2, GOLDEN), block("01", 2, GOLDEN), alpha_bound=9)
+
+
+def _count_cover_checks(monkeypatch):
+    from multishift import oracle
+
+    checks, cover_fault = [], oracle._cover_fault
+    monkeypatch.setattr(oracle, "_cover_fault", lambda *args: checks.append(args) or cover_fault(*args))
+    return checks
+
+
+def test_verify_certificates_checks_a_shared_cover_once(monkeypatch):
+    dw = _golden_directional_witness()
+    certs = list(dw.certificates)
+    assert len(certs) > 1 and all(c.cover == dw.cover for c in certs)
+    checks = _count_cover_checks(monkeypatch)
+    answers = verify_certificates(GOLDEN, 2, certs)
+    assert len(checks) == 1
+    assert answers == [verify_certificate(GOLDEN, 2, c) for c in certs] == [(True, "ok")] * len(certs)
+    assert len(checks) == 1 + len(certs)
+
+
+def test_verify_certificates_fails_every_certificate_of_a_broken_shared_cover(monkeypatch):
+    import dataclasses
+
+    dw = _golden_directional_witness()
+    broken = dataclasses.replace(dw.cover, common_offset=dw.cover.common_offset + 1)
+    certs = [dataclasses.replace(c, cover=broken) for c in dw.certificates]  # equal covers, not one object
+    checks = _count_cover_checks(monkeypatch)
+    answers = verify_certificates(GOLDEN, 2, certs)
+    assert len(checks) == 1
+    reason = f"cover: common offset {broken.common_offset} is not k1 + 1*{dw.k}"
+    assert answers == [(False, reason)] * len(certs)
+
+
+def test_verify_certificates_fails_only_the_certificate_with_a_flipped_pin(monkeypatch):
+    import dataclasses
+
+    dw = _golden_directional_witness()
+    first = dw.certificates[0]
+    rep, cons = first.constraints[0]
+    pos = rep * 2 ** (cons[0][0] - 1)
+    flipped = first.prefix[: pos - 1] + ("1" if first.prefix[pos - 1] == "0" else "0") + first.prefix[pos:]
+    certs = [dataclasses.replace(first, prefix=flipped), *dw.certificates[1:]]
+    checks = _count_cover_checks(monkeypatch)
+    answers = verify_certificates(GOLDEN, 2, certs)
+    # the first certificate fails before its cover is read; the second one's cover check serves the rest
+    assert answers == [(False, f"prefix violates the constraint at position {pos}")] + [(True, "ok")] * (len(certs) - 1)
+    assert len(checks) == 1
 
 
 def test_directional_power_requires_weak_mixing():
