@@ -249,21 +249,30 @@ class MultiplierConstraintSet:
 
 
 def multiplier_constraints(u: Pattern, v: Pattern, multiplier: int) -> MultiplierConstraintSet:
-    """Merge u's constraints with v's scaled by ``multiplier`` and group per chain."""
+    """Merge u's constraints with v's scaled by ``multiplier`` and group per chain.
+
+    Built from the two patterns' fibers: scaling moves v's chain j whole,
+    onto the chain of ``multiplier * j = rep * l**k`` with every depth
+    shifted by k, so each v chain costs one decomposition.  Where v's pin
+    meets one of u's, v's symbol stays and a different one is a conflict.
+    """
     if multiplier < 1:
         raise ValueError("multiplier must be >= 1")
     if u.base != v.base or u.omega != v.omega:
         raise ValueError("patterns must share base and base space")
-    merged: dict[int, int] = dict(u.entries)
+    l = u.base
+    merged = {rep: dict(cons) for rep, cons in u.fibers().items()}  # rep -> depth -> symbol
     conflicts = []
-    for pos, sym in v.entries:
-        p = multiplier * pos
-        old = merged.get(p)
-        if old is not None and old != sym:
-            conflicts.append((p, old, sym))
-        merged[p] = sym
-    grouped = tuple(Pattern.make(merged, u.base, u.omega).fibers().items())
-    return MultiplierConstraintSet(grouped, tuple(conflicts))
+    for j, cons in v.fibers().items():
+        d = decompose(multiplier * j, l)
+        pins = merged.setdefault(d.alpha, {})
+        for depth, sym in cons:
+            old = pins.get(depth + d.k)
+            if old is not None and old != sym:
+                conflicts.append((d.alpha * l ** (depth + d.k - 1), old, sym))
+            pins[depth + d.k] = sym
+    grouped = tuple((rep, tuple(sorted(pins.items()))) for rep, pins in sorted(merged.items()))
+    return MultiplierConstraintSet(grouped, tuple(sorted(conflicts)))
 
 
 def require_admissible(u: Pattern, name: str = "pattern") -> None:

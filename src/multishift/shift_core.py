@@ -15,6 +15,7 @@ value.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -60,12 +61,15 @@ _ONE_HOT = {c: str.maketrans(_DIGITS, "".join("1" if d == c else "0" for d in _D
 
 
 def _normalize_forbidden(words: Iterable[str]) -> tuple[str, ...]:
-    """Drop forbidden words that contain another forbidden word."""
-    uniq = sorted(set(words), key=lambda w: (len(w), w))
+    """Drop forbidden words that contain another forbidden word.
+
+    A word is compared only with the kept words shorter than it, a length
+    at a time: two distinct words of one length never contain each other.
+    """
     kept: list[str] = []
-    for w in uniq:
-        if not any(f in w for f in kept):
-            kept.append(w)
+    for _, same in itertools.groupby(sorted(set(words), key=len), key=len):
+        shorter = tuple(kept)
+        kept += [w for w in same if not any(f in w for f in shorter)]
     return tuple(sorted(kept))
 
 
@@ -286,11 +290,14 @@ def _grow(words: list[str], steps: int, alphabet: int, keep: Callable[[str], boo
     """Sorted words of one length grown ``steps`` symbols in order, keeping what ``keep`` accepts.
 
     Each length is counted against ``cap`` before the next grows: "<count> <what.format(length)> <cap>".
+    A length holds at most ``cap + 1`` words at once; past that its words are counted, not stored.
     """
     for _ in range(steps):
-        words = [w for p in words for c in _DIGITS[:alphabet] for w in [p + c] if keep(w)]
+        grown = (w for p in words for c in _DIGITS[:alphabet] for w in [p + c] if keep(w))
+        words = list(itertools.islice(grown, cap + 1))
         if len(words) > cap:
-            raise OutputGuardExceeded(f"{len(words)} {what.format(len(words[0]))} {cap}")
+            count = len(words) + sum(1 for _ in grown)
+            raise OutputGuardExceeded(f"{count} {what.format(len(words[0]))} {cap}")
     return words
 
 

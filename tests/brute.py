@@ -87,6 +87,15 @@ def brute_graph_structure(spec: SftSpec):
     return components, cyclic, dead, period
 
 
+def normalize_forbidden(words) -> tuple[str, ...]:
+    """Reference for the forbidden-set normalization: shortest first, drop a word holding a kept one."""
+    kept = []
+    for w in sorted(set(words), key=lambda w: (len(w), w)):
+        if not any(f in w for f in kept):
+            kept.append(w)
+    return tuple(sorted(kept))
+
+
 def spacing_language(spec: SpacingSpec, n: int) -> set[str]:
     comp = set(spec.complement)
     out = set()
@@ -163,3 +172,29 @@ def naive_exists_witness(omega, l: int, u, v, alpha: int, k: int, depth_cap: int
         if not any(all(int(w[d - 1]) == s for d, s in cons.items()) for w in words):
             return False
     return True
+
+
+def merged_multiplier_constraints(u, v, multiplier: int):
+    """Reference for multiplier_constraints: (groups, conflicts) from a position-by-position merge.
+
+    v's pins are scaled one position at a time onto a map that starts as
+    u's, where v's symbol stays; a position already pinned to a different
+    symbol is a conflict (position, u's symbol, v's symbol).  The merged
+    map is then split per chain by direct division.
+    """
+    merged = dict(u.entries)
+    conflicts = []
+    for pos, sym in v.entries:
+        p = multiplier * pos
+        old = merged.get(p)
+        if old is not None and old != sym:
+            conflicts.append((p, old, sym))
+        merged[p] = sym
+    chains = {}
+    for pos, sym in merged.items():
+        rep, depth = pos, 1
+        while rep % u.base == 0:
+            rep //= u.base
+            depth += 1
+        chains.setdefault(rep, []).append((depth, sym))
+    return tuple((rep, tuple(sorted(cons))) for rep, cons in sorted(chains.items())), tuple(conflicts)

@@ -1,6 +1,7 @@
 """The benchmark's view of the program: every function it traces must exist,
 a plain seed-1 round of each workload runs clean and gives its pinned output,
-and the seed-1 campaign checks each connector cover once.
+and the seed-1 campaign checks each connector cover once and each distinct
+certificate claim once per row.
 
 ``bench/tracer.py`` wraps the functions listed in its ``TARGETS`` when a
 traced round starts; a renamed or deleted one would kill that round
@@ -64,18 +65,36 @@ def test_seed_1_round_runs_clean(tmp_path, monkeypatch, workload):
     assert report["digest"] == SEED_1_DIGESTS[workload]
 
 
-def test_seed_1_campaign_checks_each_cover_once(monkeypatch):
-    # every certificate of one directional witness carries the same cover: 1,352 covered
-    # certificates in this round, and the verifier checks each of the 208 distinct covers once
+def _seed_1_campaign_checks(monkeypatch):
+    """The seed-1 bench campaign's prefix-check and cover-check arguments, and its certificate count."""
     monkeypatch.syspath_prepend(str(TRACER.parent))
     workloads = importlib.import_module("workloads")
     from multishift import oracle, shift_core
 
-    checks, cover_fault = [], oracle._cover_fault
-    monkeypatch.setattr(oracle, "_cover_fault", lambda *args: checks.append(args) or cover_fault(*args))
+    prefixes, covers = [], []
+    prefix_fault, cover_fault = oracle.prefix_fault, oracle._cover_fault
+    monkeypatch.setattr(oracle, "prefix_fault", lambda *args: prefixes.append(args) or prefix_fault(*args))
+    monkeypatch.setattr(oracle, "_cover_fault", lambda *args: covers.append(args) or cover_fault(*args))
     inputs = workloads.campaign_inputs(1)
+    certificates = 0
     for d in inputs["specs"]:
         for l in inputs["l_values"]:
-            oracle.campaign([shift_core.sft(d["alphabet"], d["forbidden"])], [l], oracle.SearchBudget())
+            report = oracle.campaign([shift_core.sft(d["alphabet"], d["forbidden"])], [l], oracle.SearchBudget())
+            certificates += report.certificates_checked
+    return prefixes, covers, certificates
+
+
+def test_seed_1_campaign_checks_each_cover_once(monkeypatch):
+    # every certificate of one directional witness carries the same cover: 1,352 covered
+    # certificates in this round, and the verifier checks each of the 208 distinct covers once
+    _, checks, _ = _seed_1_campaign_checks(monkeypatch)
     covers = {(omega, l, c.u_literal, c.v_literal, c.directional_base, c.k, c.cover) for omega, l, _, _, c in checks}
     assert len(checks) == len(covers) == 208
+
+
+def test_seed_1_campaign_checks_each_claim_once_per_row(monkeypatch):
+    # the q = l and q = l**2 lists, the mixing picks and the transitive certificates of a row land
+    # on the same multipliers: 1,858 certificates hold 1,465 distinct (u, v, multiplier) claims per
+    # row, and each is prefix-checked once
+    prefixes, covers, certificates = _seed_1_campaign_checks(monkeypatch)
+    assert (len(prefixes), certificates, len(covers)) == (1465, 1858, 208)

@@ -176,10 +176,10 @@ def test_python_dash_m_runs_the_cli():
     assert done.returncode == 0 and done.stdout.startswith("usage: multishift")
 
 
-def _cap_address_space():
+def _cap_address_space(limit=1 << 30):
     import resource
 
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 def test_witness_exact_prefix_past_the_cap_exits_2(golden_spec):
@@ -281,36 +281,38 @@ def _too_many(count, length, cap):
     return f"error: {count} admissible words of length {length} exceed the enumeration cap {cap}\n"
 
 
-# (call, capped child, exit code, stderr); a capped child runs a call that would allocate past
-# 1 GiB if its cap were missing or late
+# (call, address-space cap of its child in MiB or 0 to run in process, exit code, stderr); a
+# child under 1 GiB runs a call that would allocate past it if its cap were missing or late
 _EXTREME_CALLS = [
     # past 20 symbols a word, the cap is 20 * 2**20 symbols: 2**20 * 20 // 60 = 349525 words at n = 60
-    ("blocks --spec golden --n 60", True, 2, _too_many(514229, 27, 349525)),
-    ("blocks --spec full2 --n 40", True, 2, _too_many(2**20, 20, 2**19)),
-    ("blocks --spec full10 --n 8", True, 2, _too_many(10**7, 7, 2**20)),
-    ("blocks --spec dense --n 1200", True, 0, ""),
-    ("blocks --spec dense --n 2100", True, 2, _too_many(10015, 1629, 9986)),  # 1-2 ones a word
-    ("blocks --spec full2 --n 23 --l 2", True, 2, f"error: {2**23} blocks exceed the enumeration cap {2**20}\n"),
+    ("blocks --spec golden --n 60", 1024, 2, _too_many(514229, 27, 349525)),
+    ("blocks --spec full2 --n 40", 1024, 2, _too_many(2**20, 20, 2**19)),
+    ("blocks --spec full10 --n 8", 1024, 2, _too_many(10**7, 7, 2**20)),
+    # a refusal stores at most cap + 1 of the 10**7 words of length 7: about 160 MB
+    ("blocks --spec full10 --n 8", 384, 2, _too_many(10**7, 7, 2**20)),
+    ("blocks --spec dense --n 1200", 1024, 0, ""),
+    ("blocks --spec dense --n 2100", 1024, 2, _too_many(10015, 1629, 9986)),  # 1-2 ones a word
+    ("blocks --spec full2 --n 23 --l 2", 1024, 2, f"error: {2**23} blocks exceed the enumeration cap {2**20}\n"),
     (
-        f"witness --spec golden {_PAIR} --mode directional-coprime --modulus 3 --alpha-bound 100000", True, 2,
+        f"witness --spec golden {_PAIR} --mode directional-coprime --modulus 3 --alpha-bound 100000", 1024, 2,
         f"error: 683 prefixes of 1049601 symbols exceed the prefix cap {2**20}\n",
     ),
     (
-        f"witness --spec golden {_PAIR} --mode directional-power --alpha-bound 100000", True, 2,
+        f"witness --spec golden {_PAIR} --mode directional-power --alpha-bound 100000", 1024, 2,
         f"error: 1025 prefixes of 1050625 symbols exceed the prefix cap {2**20}\n",
     ),
-    ("admissible --spec short --l 2 --pattern l=2;support=1,64;values=1,1", False, 2,
+    ("admissible --spec short --l 2 --pattern l=2;support=1,64;values=1,1", 0, 2,
      "error: position 7 exceeds horizon 5\n"),
-    ("campaign --spec thick20", False, 2, "error: position 21 exceeds horizon 20\n"),
-    ("offset-bound 6 10000000", False, 0, ""),
-    ("blocks --spec golden --n -1", False, 2, "error: word length must be >= 1\n"),
-    ("offset-bound 2 0", False, 2, "error: expected n >= 1, got 0\n"),
-    ("dim --terms 0", False, 2, "error: need at least one term\n"),
-    ("dim --terms 1000", False, 0, ""),
-    ("dim --terms 100000", False, 2, "error: --terms 100000 exceeds the cap 1000\n"),
-    (f"probe --spec golden {_PAIR} --mode directional --q 0", False, 2, "error: modulus must be >= 2\n"),
-    (f"witness --spec golden {_PAIR} --mode exact --k -1", False, 2, "error: k must be nonnegative\n"),
-    (f"witness --spec golden {_PAIR} --mode directional-power --power 0", False, 2, "error: power must be >= 1\n"),
+    ("campaign --spec thick20", 0, 2, "error: position 21 exceeds horizon 20\n"),
+    ("offset-bound 6 10000000", 0, 0, ""),
+    ("blocks --spec golden --n -1", 0, 2, "error: word length must be >= 1\n"),
+    ("offset-bound 2 0", 0, 2, "error: expected n >= 1, got 0\n"),
+    ("dim --terms 0", 0, 2, "error: need at least one term\n"),
+    ("dim --terms 1000", 0, 0, ""),
+    ("dim --terms 100000", 0, 2, "error: --terms 100000 exceeds the cap 1000\n"),
+    (f"probe --spec golden {_PAIR} --mode directional --q 0", 0, 2, "error: modulus must be >= 2\n"),
+    (f"witness --spec golden {_PAIR} --mode exact --k -1", 0, 2, "error: k must be nonnegative\n"),
+    (f"witness --spec golden {_PAIR} --mode directional-power --power 0", 0, 2, "error: power must be >= 1\n"),
 ]
 
 
@@ -323,21 +325,24 @@ def _extreme_argv(call, tmp_path):
     return argv
 
 
-def _run_capped(argv, timeout=60):
+def _run_capped(argv, timeout=60, mib=1024):
     return subprocess.run(
-        [sys.executable, "-m", "multishift", *argv],
-        capture_output=True, text=True, env=_cli_env(), preexec_fn=_cap_address_space, timeout=timeout,
+        [sys.executable, "-m", "multishift", *argv], capture_output=True, text=True, env=_cli_env(),
+        preexec_fn=lambda: _cap_address_space(mib << 20), timeout=timeout,
     )
 
 
-@pytest.mark.parametrize("call, capped, code, stderr", _EXTREME_CALLS, ids=[c[0] for c in _EXTREME_CALLS])
-def test_extreme_arguments_exit_with_a_message(capsys, tmp_path, call, capped, code, stderr):
+@pytest.mark.parametrize(
+    "call, mib, code, stderr", _EXTREME_CALLS,
+    ids=[call if mib in (0, 1024) else f"{call} under {mib} MiB" for call, mib, _, _ in _EXTREME_CALLS],
+)
+def test_extreme_arguments_exit_with_a_message(capsys, tmp_path, call, mib, code, stderr):
     # an extreme argument gets an answer or a message: exit 0, 1 or 2, no traceback, and a
-    # message with every exit 2; the calls that would allocate run under a 1 GiB address space
+    # message with every exit 2; the calls that would allocate run under an address-space cap
     argv = _extreme_argv(call, tmp_path)
     start = time.monotonic()
-    if capped:
-        done = _run_capped(argv)
+    if mib:
+        done = _run_capped(argv, mib=mib)
         got_code, err = done.returncode, done.stderr
     else:
         got_code, _, err = run(capsys, *argv)

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brute import language
+from brute import language, merged_multiplier_constraints
 from multishift.errors import OutputGuardExceeded
 from multishift.mult_shift import (
     Pattern,
@@ -163,6 +163,29 @@ def test_multiplier_constraints_grouping():
     assert same.satisfiable_form and dict(same.groups) == {1: ((1, 0),)}
     clash = multiplier_constraints(Pattern.block("0", 2, GOLDEN), Pattern.block("1", 2, GOLDEN), 1)
     assert clash.conflicts == ((1, 0, 1),)
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 6])
+def test_multiplier_constraints_match_the_position_merge(l):
+    # the fiber-built groups and conflicts, in order, against a merge of the scaled positions;
+    # multipliers carry up to l**12 and small patterns on three symbols meet often, with clashes
+    rng = random.Random(28 + l)
+    omega = sft(3, [])
+    clashes = 0
+    for _ in range(400):
+        pats = []
+        for size in (rng.randint(1, 6), rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                pats.append(Pattern.block("".join(rng.choice("012") for _ in range(size)), l, omega))
+            else:
+                support = rng.sample(range(1, 5 * l * l), size)
+                pats.append(Pattern.make({p: rng.randrange(3) for p in support}, l, omega))
+        u, v = pats
+        multiplier = rng.choice([1, 2, 3, 5, 7]) * l ** rng.choice([0, 0, 1, 2, rng.randint(3, 12)])
+        mcs = multiplier_constraints(u, v, multiplier)
+        assert (mcs.groups, mcs.conflicts) == merged_multiplier_constraints(u, v, multiplier)
+        clashes += not mcs.satisfiable_form
+    assert clashes >= 10
 
 
 def test_multiplier_groups_are_solvable_iff_extendable():

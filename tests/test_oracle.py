@@ -551,16 +551,17 @@ def test_campaign_paper_anchored_rows():
 
 
 def test_a_campaign_row_checks_each_certificate_once(monkeypatch):
-    # the builders check nothing: the verifier runs one prefix check per certificate it is handed,
+    # the builders check nothing: the verifier runs one prefix check per distinct claim in the row,
     # and one cover check per distinct cover in each list
     checks, covers, built = [], [], []
-    prefix_fault, cover_fault, verify = oracle.prefix_fault, oracle._cover_fault, oracle.verify_certificates
+    prefix_fault, cover_fault, record = oracle.prefix_fault, oracle._cover_fault, oracle._record_certs
     monkeypatch.setattr(oracle, "prefix_fault", lambda *args: checks.append(args) or prefix_fault(*args))
     monkeypatch.setattr(oracle, "_cover_fault", lambda *args: covers.append(args[4]) or cover_fault(*args))
-    monkeypatch.setattr(oracle, "verify_certificates", lambda *args: built.extend(args[2]) or verify(*args))
+    monkeypatch.setattr(oracle, "_record_certs", lambda *args: built.extend(args[2]) or record(*args))
     row = oracle._campaign_row(GOLDEN, 2, SearchBudget())
     assert {cert.construction for cert in built} == {"transitive_prime_alpha", "directional_power", "mixing_threshold"}
-    assert len(checks) == row.certificates_checked == len(built)
+    claims = {(c.u_literal, c.v_literal, c.multiplier, c.constraints, c.prefix) for c in built}
+    assert len(checks) == len(claims) < row.certificates_checked == len(built)
     distinct = {(c.u_literal, c.v_literal, c.directional_base, c.k, c.cover) for c in built if c.cover}
     assert len(covers) == len(distinct) < sum(c.cover is not None for c in built)
     assert (row.certificate_failures, row.hard) == (0, [])

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from brute import brute_connector_gaps, brute_extendable, brute_graph_structure, language
+from brute import brute_connector_gaps, brute_extendable, brute_graph_structure, language, normalize_forbidden
 from multishift.errors import HorizonExceeded, PreconditionFailed, SpecError, UndecidableProperty
 from multishift.oracle import binary_sft_family, random_sft_family
 from multishift.shift_core import (
@@ -138,6 +138,16 @@ def test_normalization():
         sft(2, ["2"])
     with pytest.raises(SpecError):
         spacing("cofinite", [0])
+
+
+def test_normalization_matches_the_reference_rule():
+    # comparing a word only with shorter kept words drops the same words as comparing it with all
+    rng = random.Random(35)
+    for _ in range(3000):
+        digits = "0123"[: rng.randint(1, 4)]
+        words = ["".join(rng.choice(digits) for _ in range(rng.randint(1, 4))) for _ in range(rng.randint(0, 12))]
+        assert shift_core._normalize_forbidden(words) == normalize_forbidden(words)
+        assert sft(len(digits), words).forbidden == normalize_forbidden(words)
 
 
 # --- blocks -----------------------------------------------------------------

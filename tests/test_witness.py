@@ -267,6 +267,54 @@ def test_verify_certificates_fails_only_the_certificate_with_a_flipped_pin(monke
     assert len(checks) == 1
 
 
+def _repeated_claims():
+    # q = 2 and q = 4 both name the multipliers 2, 6, 10, 14 and 18, and the transitive certificate
+    # and the mixing picks land on 6 and 12 again: 15 certificates, 7 distinct claims
+    u, v = block("10", 2, GOLDEN), block("01", 2, GOLDEN)
+    mw = witness_mixing(GOLDEN, 2, u, v)
+    certs = [c for n in (1, 2) for c in witness_directional_power(GOLDEN, 2, n, u, v, alpha_bound=9).certificates]
+    return certs + [witness_transitive(GOLDEN, 2, u, v, k=0), mw.build(3, 1), mw.build(3, 1)]
+
+
+def _count_prefix_checks(monkeypatch):
+    from multishift import oracle
+
+    checks, prefix_fault = [], oracle.prefix_fault
+    monkeypatch.setattr(oracle, "prefix_fault", lambda *args: checks.append(args) or prefix_fault(*args))
+    return checks
+
+
+def test_verify_certificates_checks_each_distinct_claim_once(monkeypatch):
+    import dataclasses
+
+    certs = _repeated_claims()
+    # the same claim as the first certificate, under a depth that gives another multiplier: the
+    # per-certificate metadata check still rejects it
+    certs.append(dataclasses.replace(certs[0], k=certs[0].k + 1))
+    claims = {(c.u_literal, c.v_literal, c.multiplier, c.constraints, c.prefix) for c in certs}
+    alone = [verify_certificate(GOLDEN, 2, c) for c in certs]
+    assert alone[-1] == (False, "multiplier disagrees with (alpha, k, directional base)")
+    assert alone[:-1] == [(True, "ok")] * (len(certs) - 1)
+    checks = _count_prefix_checks(monkeypatch)
+    assert verify_certificates(GOLDEN, 2, certs) == alone
+    assert len(checks) == len(claims) == 7 < len(certs)
+    assert verify_certificates(GOLDEN, 2, certs) == alone and len(checks) == 14  # no memo outlives its call
+
+
+def test_verify_certificates_rejects_a_flipped_pin_beside_its_genuine_claim():
+    import dataclasses
+
+    genuine = _repeated_claims()[1]
+    rep, cons = genuine.constraints[-1]
+    pos = rep * 2 ** (cons[-1][0] - 1)
+    flipped = "1" if genuine.prefix[pos - 1] == "0" else "0"
+    forged = dataclasses.replace(genuine, prefix=genuine.prefix[: pos - 1] + flipped + genuine.prefix[pos:])
+    reason = f"prefix violates the constraint at position {pos}"
+    assert verify_certificate(GOLDEN, 2, forged) == (False, reason)
+    assert verify_certificates(GOLDEN, 2, [genuine, forged, genuine]) == [(True, "ok"), (False, reason), (True, "ok")]
+    assert verify_certificates(GOLDEN, 2, [forged, genuine]) == [(False, reason), (True, "ok")]
+
+
 def test_directional_power_requires_weak_mixing():
     alt = sft(2, ["00", "11"])
     with pytest.raises(PreconditionFailed):
