@@ -122,53 +122,36 @@ def verify_certificates(omega: ShiftSpec, l: int, certs: Sequence[WitnessCertifi
     Each certificate's constraint groups are re-derived from its patterns
     and multiplier, then its prefix is checked to satisfy them and to be
     admissible.  A connector cover, when present, is checked claim by
-    claim.  Each distinct claim is checked once per call: see
-    ``_CertificateChecker``.
-    """
-    return _CertificateChecker(omega, l).check(certs)
-
-
-class _CertificateChecker:
-    """The verifier for one ``verify_certificates`` call or one campaign row, with its memos.
+    claim.
 
     By fiber independence a check reads nothing of a certificate but the
-    fields in its memo's key, besides ``omega`` and ``l``, so certificates
-    that agree on the key share one answer:
+    fields in its memo's key, besides ``omega`` and ``l``, so the
+    certificates of one call that agree on the key share one answer:
     - each (u_literal, v_literal) pair is parsed once;
     - constraints and prefix are checked once per (u_literal, v_literal,
       multiplier, constraints, prefix): the directional lists at q = l and
-      q = l**2, the mixing picks and the transitive certificates of a row
-      land on the same multipliers;
+      q = l**2, the mixing picks and the transitive certificates of a
+      campaign row land on the same multipliers;
     - a cover is checked once per (u_literal, v_literal, directional base,
       k, cover): every certificate of one ``witness_directional_power``
       call carries the same cover.
     The metadata checks read the directional base, alpha and k, which the
     claim key leaves out, so they run for every certificate, first.  Check
-    order and reasons are those of a certificate checked alone.
+    order and reasons are those of a certificate checked alone, and no
+    memo outlives the call.
     """
+    patterns: dict = {}  # (u_literal, v_literal) -> (u, v), or why they do not parse
+    claims: dict = {}  # claim key -> why the constraints or the prefix fail, or None
+    covers: dict = {}  # cover key -> _cover_fault's answer
 
-    def __init__(self, omega: ShiftSpec, l: int):
-        self.omega, self.l = omega, l
-        self._patterns: dict = {}  # (u_literal, v_literal) -> (u, v), or why they do not parse
-        self._claims: dict = {}  # claim key -> _claim_fault's answer
-        self._covers: dict = {}  # cover key -> _cover_fault's answer
-
-    def check(self, certs: Sequence[WitnessCertificate]) -> list[tuple[bool, str]]:
-        """One (ok, reason) per certificate, in order."""
-        answers = []
-        for cert in certs:
-            why = self._fault(cert)
-            answers.append((False, why) if why else (True, "ok"))
-        return answers
-
-    def _fault(self, cert: WitnessCertificate) -> Optional[str]:
+    def fault(cert: WitnessCertificate) -> Optional[str]:
         literals = (cert.u_literal, cert.v_literal)
-        if literals not in self._patterns:
+        if literals not in patterns:
             try:
-                self._patterns[literals] = tuple(parse_pattern(lit, self.omega, base=self.l) for lit in literals)
+                patterns[literals] = tuple(parse_pattern(lit, omega, base=l) for lit in literals)
             except ValueError as exc:
-                self._patterns[literals] = f"unparseable patterns: {exc}"
-        parsed = self._patterns[literals]
+                patterns[literals] = f"unparseable patterns: {exc}"
+        parsed = patterns[literals]
         if isinstance(parsed, str):
             return parsed
         u, v = parsed
@@ -180,27 +163,23 @@ class _CertificateChecker:
         ):
             return "multiplier disagrees with (alpha, k, directional base)"
         key = (*literals, cert.multiplier, cert.constraints, cert.prefix)
-        if key not in self._claims:
-            self._claims[key] = _claim_fault(self.omega, self.l, u, v, cert)
-        why = self._claims[key]
+        if key not in claims:
+            mcs = multiplier_constraints(u, v, cert.multiplier)
+            if not mcs.satisfiable_form:
+                claims[key] = f"constraints conflict at positions {[c[0] for c in mcs.conflicts]}"
+            elif mcs.groups != cert.constraints:
+                claims[key] = "constraint transcript disagrees with the patterns and multiplier"
+            else:
+                claims[key] = prefix_fault(omega, l, mcs.groups, cert.prefix)
         # last: the prefix, now known to cover |u| * |v|, bounds the cover's offset computations
-        if why or cert.cover is None:
-            return why
+        if claims[key] or cert.cover is None:
+            return claims[key]
         key = (*literals, cert.directional_base, cert.k, cert.cover)
-        if key not in self._covers:
-            self._covers[key] = _cover_fault(self.omega, self.l, u, v, cert)
-        why = self._covers[key]
-        return f"cover: {why}" if why else None
+        if key not in covers:
+            covers[key] = _cover_fault(omega, l, u, v, cert)
+        return f"cover: {covers[key]}" if covers[key] else None
 
-
-def _claim_fault(omega: ShiftSpec, l: int, u: Pattern, v: Pattern, cert: WitnessCertificate) -> Optional[str]:
-    """Why the certificate's constraints or prefix fail for its patterns and multiplier, or None."""
-    mcs = multiplier_constraints(u, v, cert.multiplier)
-    if not mcs.satisfiable_form:
-        return f"constraints conflict at positions {[c[0] for c in mcs.conflicts]}"
-    if mcs.groups != cert.constraints:
-        return "constraint transcript disagrees with the patterns and multiplier"
-    return prefix_fault(omega, l, mcs.groups, cert.prefix)
+    return [(False, why) if (why := fault(cert)) else (True, "ok") for cert in certs]
 
 
 def prefix_fault(omega: ShiftSpec, l: int, groups: tuple, prefix: str) -> Optional[str]:
@@ -798,24 +777,19 @@ def _campaign_row(spec: ShiftSpec, l: int, budget: SearchBudget) -> CampaignRow:
 
     pats = x_block_patterns(spec, l, budget.pair_length_bound)
     grid = _PairGrid(spec, l, pats, 2 * budget.k_bound + 1)  # the directional check reads depth n*k at n = 2
-    checker = _CertificateChecker(spec, l)  # the row's certificates share its memos, and nothing after the row does
-    _check_transitivity(row, spec, l, budget, pats, grid, checker)
-    _check_directional(row, spec, l, budget, pats, grid, checker)
-    _check_mixing(row, spec, l, budget, pats, grid, checker)
-    return row
-
-
-def _record_certs(
-    row: CampaignRow, checker: _CertificateChecker, certs: Sequence[WitnessCertificate], where: str
-) -> None:
-    for ok, reason in checker.check(certs):
-        row.certificates_checked += 1
+    certs: list[tuple[str, WitnessCertificate]] = []  # (check, certificate), in build order
+    _check_transitivity(row, spec, l, budget, pats, grid, certs)
+    _check_directional(row, spec, l, budget, pats, grid, certs)
+    _check_mixing(row, spec, l, budget, pats, grid, certs)
+    row.certificates_checked = len(certs)
+    for (where, _), (ok, reason) in zip(certs, verify_certificates(spec, l, [cert for _, cert in certs])):
         if not ok:
             row.certificate_failures += 1
             row.hard.append({"check": where, "kind": "certificate_failed_verification", "reason": reason})
+    return row
 
 
-def _check_transitivity(row, spec, l, budget, pats, grid, checker) -> None:
+def _check_transitivity(row, spec, l, budget, pats, grid, certs) -> None:
     extensible = row.omega_verdicts["extensible"]
     verdict = _transitive(grid, budget)
     row.x_probes["transitive"] = verdict.status
@@ -830,8 +804,8 @@ def _check_transitivity(row, spec, l, budget, pats, grid, checker) -> None:
             )
             row.checks["transitivity"] = "fail"
             return
-        certs = [witness_mod.witness_transitive(spec, l, u, v, k=0) for u, v in _subset_pairs(pats)]
-        _record_certs(row, checker, certs, "transitivity")
+        for u, v in _subset_pairs(pats):
+            certs.append(("transitivity", witness_mod.witness_transitive(spec, l, u, v, k=0)))
         row.checks["transitivity"] = "pass"
         return
     # predicted no uniform connections: exhibit a pattern pair no multiplier connects.  A
@@ -881,7 +855,7 @@ def _nonextensible_refutation(spec: ShiftSpec, l: int):
     return u, v, word, offset
 
 
-def _check_directional(row, spec, l, budget, pats, grid, checker) -> None:
+def _check_directional(row, spec, l, budget, pats, grid, certs) -> None:
     wm = row.omega_verdicts["weakly_mixing"]
     capped = False  # a cover past the prefix cap refutes nothing, and proves nothing either
     for label, n in (("directional_l", 1), ("directional_l2", 2)):
@@ -912,7 +886,8 @@ def _check_directional(row, spec, l, budget, pats, grid, checker) -> None:
             if first_negative is not None:
                 u, v = first_negative.u, first_negative.v
                 try:  # a uniform depth may exist beyond the probe budget
-                    witness_mod.witness_directional_power(spec, l, n, u, v, budget.alpha_bound)
+                    dw = witness_mod.witness_directional_power(spec, l, n, u, v, budget.alpha_bound)
+                    certs.extend(("directional", cert) for cert in dw.certificates)
                     row.notes.append(f"{label}: a pair needed a depth step beyond the budget")
                 except (ConnectorNotFound, PreconditionFailed):
                     row.hard.append(
@@ -943,7 +918,7 @@ def _check_directional(row, spec, l, budget, pats, grid, checker) -> None:
                     )
                     row.checks["directional"] = "fail"
                     return
-                _record_certs(row, checker, dw.certificates, "directional")
+                certs.extend(("directional", cert) for cert in dw.certificates)
         row.checks["directional"] = "inconclusive" if capped else "pass"
     else:
         if row.x_probes["directional_l"] == "proved_negative" or row.x_probes["directional_l2"] == "proved_negative":
@@ -952,7 +927,7 @@ def _check_directional(row, spec, l, budget, pats, grid, checker) -> None:
             row.checks["directional"] = "inconclusive"
 
 
-def _check_mixing(row, spec, l, budget, pats, grid, checker) -> None:
+def _check_mixing(row, spec, l, budget, pats, grid, certs) -> None:
     mixing = row.omega_verdicts["mixing"]
     if mixing:
         threshold = shift_core.mixing_gap_index(spec)
@@ -989,7 +964,7 @@ def _check_mixing(row, spec, l, budget, pats, grid, checker) -> None:
         picks = [window[0], window[len(window) // 2], window[-1]]
         for u, v in _subset_pairs(pats):
             mw = witness_mod.witness_mixing(spec, l, u, v)
-            _record_certs(row, checker, [mw.build(alpha, k) for alpha, k in picks], "mixing")
+            certs.extend(("mixing", mw.build(alpha, k)) for alpha, k in picks)
         row.checks["mixing"] = "pass"
         return
     # predicted not mixing: some pair must fail at arbitrarily large multipliers.  That is the

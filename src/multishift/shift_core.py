@@ -377,8 +377,9 @@ def _words(ctx: _Ctx, n: int) -> list[str]:
     if g is not None:
         if n <= g.window:  # a word inside a surviving window starts one: a shift of a point is a point
             return [v[:n] for v in g.vertices]
-        clean, alive = _clean(spec), frozenset(g.vertices)
-        path = lambda w: w[-g.window :] in alive and clean(w)  # a clean step into a surviving window
+        # an edge of the pruned graph is a clean (window + 1)-word between two surviving windows
+        edges = frozenset(v + str(s) for v, out in zip(g.vertices, g.out) for s, _ in out)
+        path = lambda w: w[-g.window - 1 :] in edges
         return _grow(list(g.vertices), n - g.window, spec.alphabet, path, cap, what)
     if n > spec.horizon:
         raise HorizonExceeded(f"word length {n} exceeds horizon {spec.horizon}")

@@ -133,7 +133,7 @@ def try_certificate(
 
     The multiplier is |u| * alpha * base**k, with base ``directional_base``
     (``l`` when not given).  Nothing here checks the result:
-    ``oracle.verify_certificate`` does, from the patterns alone.  Raises
+    ``oracle.verify_certificates`` does, from the patterns alone.  Raises
     CertificateFailed when no admissible prefix meets the constraints, and
     OutputGuardExceeded, before anything is built, when the prefix would
     be longer than PREFIX_GUARD.

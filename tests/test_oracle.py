@@ -19,7 +19,8 @@ from multishift.oracle import (
     random_sft_family,
     verify_certificate,
 )
-from multishift import oracle, shift_core
+from multishift import oracle, shift_core, witness
+from multishift.errors import ConnectorNotFound
 from multishift.shift_core import SpacingSpec, blocks, partial_extendable, sft, spacing
 
 GOLDEN = sft(2, ["11"])
@@ -551,14 +552,16 @@ def test_campaign_paper_anchored_rows():
 
 
 def test_a_campaign_row_checks_each_certificate_once(monkeypatch):
-    # the builders check nothing: the verifier runs one prefix check per distinct claim in the row,
-    # and one cover check per distinct cover in each list
-    checks, covers, built = [], [], []
-    prefix_fault, cover_fault, record = oracle.prefix_fault, oracle._cover_fault, oracle._record_certs
+    # the builders check nothing: the row hands every certificate it builds to one verifier call,
+    # which runs one prefix check per distinct claim and one cover check per distinct cover
+    checks, covers, calls = [], [], []
+    prefix_fault, cover_fault, verify = oracle.prefix_fault, oracle._cover_fault, oracle.verify_certificates
     monkeypatch.setattr(oracle, "prefix_fault", lambda *args: checks.append(args) or prefix_fault(*args))
     monkeypatch.setattr(oracle, "_cover_fault", lambda *args: covers.append(args[4]) or cover_fault(*args))
-    monkeypatch.setattr(oracle, "_record_certs", lambda *args: built.extend(args[2]) or record(*args))
+    monkeypatch.setattr(oracle, "verify_certificates", lambda *args: calls.append(args[2]) or verify(*args))
     row = oracle._campaign_row(GOLDEN, 2, SearchBudget())
+    assert len(calls) == 1
+    built = calls[0]
     assert {cert.construction for cert in built} == {"transitive_prime_alpha", "directional_power", "mixing_threshold"}
     claims = {(c.u_literal, c.v_literal, c.multiplier, c.constraints, c.prefix) for c in built}
     assert len(checks) == len(claims) < row.certificates_checked == len(built)
@@ -572,6 +575,42 @@ def test_a_campaign_row_records_a_certificate_the_verifier_rejects(flip_one_pin)
     assert flip_one_pin and row.certificate_failures == row.certificates_checked >= 1
     assert {entry["kind"] for entry in row.hard} == {"certificate_failed_verification"}
     assert row.hard[0]["reason"] == f"prefix violates the constraint at position {flip_one_pin[0]}"
+
+
+def test_a_campaign_row_lists_certificate_failures_after_its_other_hard_entries(monkeypatch, flip_one_pin):
+    # the directional check fails on its first pair, after the transitive certificates are built
+    # and before the mixing ones; the verifier runs after the last check, so its failures come last,
+    # in build order
+    def no_connector(*args):
+        raise ConnectorNotFound("no connector")
+
+    monkeypatch.setattr(witness, "witness_directional_power", no_connector)
+    row = oracle._campaign_row(GOLDEN, 2, SearchBudget())
+    assert row.hard[0] == {
+        "check": "directional", "kind": "cover_connector_missing", "n": 1, "pair": ("block:0", "block:0")
+    }
+    assert {e["kind"] for e in row.hard[1:]} == {"certificate_failed_verification"}
+    assert [e["check"] for e in row.hard[1:]] == ["transitivity"] * 6 + ["mixing"] * 18
+    reasons = [f"prefix violates the constraint at position {pos}" for pos in flip_one_pin]
+    assert [e["reason"] for e in row.hard[1:]] == reasons
+    assert row.certificate_failures == row.certificates_checked == 24
+
+
+def test_a_campaign_row_verifies_the_certificates_built_past_the_budget(monkeypatch, request):
+    # at k_bound = 1 a pair of the q = l list of sft(2, ["00"]) at l = 3 has no uniform depth within
+    # the budget; the row's first directional witness finds one deeper, and its 6 certificates are
+    # verified with the row's other 108
+    spec, budget = sft(2, ["00"]), SearchBudget(alpha_bound=9, k_bound=1, pair_length_bound=3)
+    built, build = [], witness.witness_directional_power
+    monkeypatch.setattr(witness, "witness_directional_power", lambda *args: built.append(build(*args)) or built[-1])
+    row = oracle._campaign_row(spec, 3, budget)
+    assert len(built[0].certificates) == 6
+    assert "directional_l: a pair needed a depth step beyond the budget" in row.notes
+    assert (row.certificates_checked, row.certificate_failures, row.hard) == (114, 0, [])
+    flipped = request.getfixturevalue("flip_one_pin")
+    row = oracle._campaign_row(spec, 3, budget)
+    assert row.certificate_failures == row.certificates_checked == len(flipped) == 114
+    assert [e["check"] for e in row.hard[:12]] == ["transitivity"] * 6 + ["directional"] * 6
 
 
 def test_campaign_jsonl_and_table():
