@@ -10,6 +10,7 @@ is tiny in every intended use.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,8 +43,9 @@ class Decomposition:
     base: int
 
 
+@functools.lru_cache(maxsize=4096, typed=True)
 def decompose(n: int, l: int) -> Decomposition:
-    """Split ``n`` into its base-free part and base power."""
+    """Split ``n`` into its base-free part and base power (kept per typed (n, l); errors are not)."""
     _check_base(l)
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n!r}")

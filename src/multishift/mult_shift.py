@@ -94,7 +94,7 @@ class Pattern:
 
     @classmethod
     def block(cls, word: str, base: int, omega: ShiftSpec) -> "Pattern":
-        return cls(tuple((i + 1, int(c)) for i, c in enumerate(word)), base, omega)
+        return cls(tuple(zip(range(1, len(word) + 1), map(int, word))), base, omega)
 
     @property
     def length(self) -> int:

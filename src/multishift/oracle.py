@@ -293,7 +293,7 @@ class _PairProbe:
     def decide(self, m: int, e: int) -> bool:
         if self.u_bad:
             return False
-        for _, base, _, table in self._target_layout(m):
+        for _, base, _, table in self._targets.get(m) or self._target_layout(m):
             if not table[base + e]:
                 return False
         return True
@@ -515,8 +515,10 @@ def _directional(probe: _PairProbe, q: int, budget: SearchBudget) -> tuple:
         failures.append((k, bad))
     proof = None
     if a_q == 1:  # the all-k proof needs a power modulus
-        for alpha in alphas:  # one alpha at a time: the first proof ends the search
-            if all(not probe.decide(alpha, n * k) for k in range(budget.k_bound + 1)):
+        # at depth k the alphas before failures[k]'s pass and it fails: decide only the pairs that leaves open
+        first = [alphas.index(bad) for _, bad in failures]
+        for i, alpha in enumerate(alphas):  # one alpha at a time: the first proof ends the search
+            if all(j == i or (j < i and not probe.decide(alpha, n * k)) for k, j in enumerate(first)):
                 proof = _forall_k_proof(probe, alpha, n)
                 if proof is not None:
                     break

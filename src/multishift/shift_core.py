@@ -68,8 +68,10 @@ def _normalize_forbidden(words: Iterable[str]) -> tuple[str, ...]:
     """
     kept: list[str] = []
     for _, same in itertools.groupby(sorted(set(words), key=len), key=len):
-        shorter = tuple(kept)
-        kept += [w for w in same if not any(f in w for f in shorter)]
+        if kept:
+            shorter = tuple(kept)
+            same = [w for w in same if not any(f in w for f in shorter)]
+        kept += same
     return tuple(sorted(kept))
 
 
@@ -83,12 +85,12 @@ class SftSpec:
     def __post_init__(self):
         if not 1 <= self.alphabet <= 10:
             raise SpecError(f"alphabet size must be in [1, 10], got {self.alphabet}")
+        digits = _DIGITS[: self.alphabet]
         for w in self.forbidden:
             if not w:
                 raise SpecError("forbidden words must be nonempty")
-            for ch in w:
-                if ch not in _DIGITS[: self.alphabet]:
-                    raise SpecError(f"symbol {ch!r} out of range in forbidden word {w!r}")
+            if w.strip(digits):
+                raise SpecError(f"symbol {w.lstrip(digits)[0]!r} out of range in forbidden word {w!r}")
         if self.forbidden != _normalize_forbidden(self.forbidden):
             raise SpecError("forbidden set is not normalized; use sft() to build specs")
 
@@ -423,13 +425,15 @@ class _OffsetTable(dict):
     On a finite-type space, an offset that puts every moving pin past
     P0 = max(window, static depths) is decided from the state set S(P)
     of the static-only walk at P = offset + first moving depth - 1 (the
-    static pins' orbit, read by residue) and one walk from S(P) through
+    static pins' orbit, kept in ``orbit``) and one walk from S(P) through
     the moving pins at their relative places (memoized per spec).  That
     walk is exactly the tail of the direct one, which is unconstrained
-    from P0 + 1 to P.  Other offsets, and gap-set spaces, walk directly.
+    from P0 + 1 to P.  Past the orbit's stored sets, S(P) is the set a
+    whole number of periods back, so the offset reads that earlier offset.
+    Other offsets, and gap-set spaces, walk directly.
     """
 
-    __slots__ = ("ctx", "static", "moving", "first", "cycle")
+    __slots__ = ("ctx", "static", "moving", "first", "cycle", "orbit")
 
     def periodicity(self) -> tuple[int, int]:
         """(start, period): from offset ``start`` on, ``self[r]`` repeats with period ``period``.
@@ -439,7 +443,7 @@ class _OffsetTable(dict):
         ``__missing__`` reads them, so they repeat with the orbit's period
         from max(0, r0 + preperiod) on.
         """
-        orbit = _static_orbit(self.ctx, self.static)
+        orbit = self.orbit = self.orbit or _static_orbit(self.ctx, self.static)
         return max(0, orbit.origin + 1 - self.first + orbit.preperiod), orbit.period
 
     def bits(self, n: int) -> int:
@@ -463,10 +467,13 @@ class _OffsetTable(dict):
     def __missing__(self, offset: int) -> bool:
         ctx = self.ctx
         if ctx.graph is not None and self.moving:
-            orbit = _static_orbit(ctx, self.static)
+            orbit = self.orbit = self.orbit or _static_orbit(ctx, self.static)
             step = offset + self.first - 1 - orbit.origin
+            if step >= len(orbit.states):
+                ok = self[offset] = self[offset - (step - orbit.preperiod) // orbit.period * orbit.period]
+                return ok
             if step >= 0:
-                ok = self[offset] = _tail_fits(ctx, orbit.at(step), self.moving)
+                ok = self[offset] = _tail_fits(ctx, orbit.states[step], self.moving)
                 return ok
         pins = dict(self.static)
         ok = all(pins.setdefault(offset + pos, sym) == sym for pos, sym in self.moving)
@@ -483,7 +490,7 @@ class _OffsetTables(dict):
         table = self[key] = _OffsetTable()
         table.ctx, (table.static, table.moving) = self.ctx, key
         table.first = min((pos for pos, _ in table.moving), default=0)
-        table.cycle = None
+        table.cycle = table.orbit = None
         return table
 
 
@@ -555,8 +562,9 @@ class _Orbit:
     """The unconstrained-step orbit of a state set, kept up to its first repeat.
 
     ``states[i]`` is the set i steps on; the list holds preperiod + period
-    sets, and ``at(i)`` reads any later step by its residue.  ``origin``
-    is the end position of ``states[0]`` in the walk it continues.
+    sets, and a later step i is the set at preperiod + (i - preperiod) %
+    period.  ``origin`` is the end position of ``states[0]`` in the walk
+    it continues.
     """
 
     __slots__ = ("origin", "states", "preperiod", "period")
@@ -571,11 +579,6 @@ class _Orbit:
         self.origin = origin
         self.preperiod = seen[start]
         self.period = len(states) - self.preperiod
-
-    def at(self, step: int) -> int:
-        if step >= len(self.states):
-            step = self.preperiod + (step - self.preperiod) % self.period
-        return self.states[step]
 
 
 def _static_orbit(ctx: _Ctx, static: tuple) -> _Orbit:

@@ -25,6 +25,20 @@ def test_decompose_rejects_bad_inputs():
         decompose(0, 2)
 
 
+def test_decompose_cache_keeps_values_and_errors():
+    # decompose is kept in a bounded cache: values match the uncached function, bad inputs raise on
+    # every call (errors are not kept), and a float base never reads an int base's entry
+    for _ in range(2):
+        for n, l in ((10, 1), (0, 2), (-4, 3), (12, 2.0), (12, True)):
+            with pytest.raises(ValueError):
+                decompose(n, l)
+        assert decompose(12, 2) == decompose.__wrapped__(12, 2)
+    for l in range(2, 9):
+        for n in range(1, 300):
+            assert decompose(n, l) == decompose.__wrapped__(n, l), (n, l)
+    assert decompose.cache_info().maxsize == 4096
+
+
 @given(st.integers(1, 100_000), st.sampled_from([2, 3, 4, 6, 10]))
 def test_decompose_roundtrip(n, l):
     d = decompose(n, l)

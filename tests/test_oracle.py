@@ -485,6 +485,86 @@ def test_directional_proof_is_first_provable_alpha():
     assert proved > 100 and inconclusive > 0 and late and halved
 
 
+def _directional_redeciding(probe, q, budget):
+    """``_directional`` as it was: the proof search re-decides every depth k for each alpha."""
+    from multishift.lambda_arith import a_set
+
+    a_q, n = oracle._split(q, probe.l)
+    alphas = a_set(q, budget.alpha_bound)
+    failures = []
+    for k in range(budget.k_bound + 1):
+        bad = next((alpha for alpha in alphas if not probe.decide(alpha * a_q**k, n * k)), None)
+        if bad is None:
+            return "witnessed", k, tuple(failures), None
+        failures.append((k, bad))
+    proof = None
+    if a_q == 1:
+        for alpha in alphas:
+            if all(not probe.decide(alpha, n * k) for k in range(budget.k_bound + 1)):
+                proof = oracle._forall_k_proof(probe, alpha, n)
+                if proof is not None:
+                    break
+    status = "proved_negative" if proof is not None else "inconclusive_negative"
+    return status, None, tuple(failures), proof
+
+
+def test_directional_proof_search_reuses_the_depth_loop(monkeypatch):
+    # after the budget loop, failures[k] names the first alpha failing at depth k: the alphas before it
+    # pass there and it fails.  The proof search decides only the (alpha, k) pairs this leaves open, and
+    # must return what re-deciding every k per alpha returned, with no more decide calls
+    from multishift.oracle import _directional, _PairProbe, x_block_patterns
+
+    decide, calls = _PairProbe.decide, [0]
+
+    def counted(self, m, e):
+        calls[0] += 1
+        return decide(self, m, e)
+
+    monkeypatch.setattr(_PairProbe, "decide", counted)
+    rng = random.Random(3030)
+    seen, saved = set(), 0
+    for _ in range(60):
+        spec = _random_sft(rng, rng.choice([2, 3]))
+        if not blocks(spec, 1):
+            continue
+        l = rng.choice([2, 3])
+        budget = SearchBudget(alpha_bound=rng.choice([5, 9]), k_bound=rng.choice([1, 2, 4]), pair_length_bound=2)
+        pats = x_block_patterns(spec, l, budget.pair_length_bound)
+        for u in rng.sample(pats, min(3, len(pats))):
+            for v in rng.sample(pats, min(3, len(pats))):
+                for q in (l, l * l):
+                    calls[0] = 0
+                    expected = _directional_redeciding(_PairProbe(spec, l, u, v), q, budget)
+                    before, calls[0] = calls[0], 0
+                    got = _directional(_PairProbe(spec, l, u, v), q, budget)
+                    assert got == expected, (spec, l, q, u.entries, v.entries)
+                    assert calls[0] <= before
+                    saved += before - calls[0]
+                    status, _, failures, proof = got
+                    seen.add(status)
+                    if proof is not None and proof["alpha"] != 1:
+                        seen.add("proof past the first alpha")
+    assert seen == {"witnessed", "proved_negative", "inconclusive_negative", "proof past the first alpha"}
+    assert saved > 0
+
+    # a proved negative whose first alpha fails at every k: the k loop decides once per k and the
+    # search none, so the all-k proof starts after exactly k_bound + 1 calls (the old search made twice that)
+    proof, entered = oracle._forall_k_proof, []
+
+    def counted_proof(probe, alpha, n):
+        entered.append(calls[0])
+        return proof(probe, alpha, n)
+
+    monkeypatch.setattr(oracle, "_forall_k_proof", counted_proof)
+    budget = SearchBudget(alpha_bound=9, k_bound=4, pair_length_bound=2)
+    u, v = block("0110", 2, ALT), block("1011", 2, ALT)
+    calls[0] = 0
+    status, _, failures, found = _directional(_PairProbe(ALT, 2, u, v), 2, budget)
+    assert status == "proved_negative" and found["alpha"] == 1
+    assert [bad for _, bad in failures] == [1] * (budget.k_bound + 1)
+    assert entered == [budget.k_bound + 1]
+
+
 def test_probe_budget_monotone():
     small = SearchBudget(alpha_bound=3, k_bound=2, pair_length_bound=2)
     large = SearchBudget(alpha_bound=9, k_bound=6, pair_length_bound=2)

@@ -246,22 +246,26 @@ def _random_pins(rng, alphabet, count, top):
     return tuple(sorted((p, rng.randrange(alphabet)) for p in rng.sample(range(1, top + 1), count)))
 
 
+def _random_table_spec(rng):
+    alphabet = rng.randint(2, 4)
+    symbols = "0123456789"[:alphabet]
+    words = ["".join(rng.choices(symbols, k=3)) for _ in range(rng.randint(0, 2))]
+    if rng.random() < 0.5:  # mostly one successor per symbol: periodic and transient window graphs
+        for a in symbols:
+            keep = rng.sample(symbols, rng.choice((1, 1, 2)))
+            words += [a + b for b in symbols if b not in keep]
+    else:
+        words += ["".join(rng.choices(symbols, k=2)) for _ in range(rng.randint(1, alphabet))]
+    return alphabet, sft(alphabet, words)
+
+
 def test_offset_tables_match_direct_walk():
-    # past the static pins a table reads the static orbit by residue and a memoized tail walk;
+    # past the static pins a table reads the static orbit and a memoized tail walk;
     # every offset through two periods past the orbit list must agree with the direct decider
     rng = random.Random(16)
     checked = fast = clashes = periodic = 0
     for _ in range(80):
-        alphabet = rng.randint(2, 4)
-        symbols = "0123456789"[:alphabet]
-        words = ["".join(rng.choices(symbols, k=3)) for _ in range(rng.randint(0, 2))]
-        if rng.random() < 0.5:  # mostly one successor per symbol: periodic and transient window graphs
-            for a in symbols:
-                keep = rng.sample(symbols, rng.choice((1, 1, 2)))
-                words += [a + b for b in symbols if b not in keep]
-        else:
-            words += ["".join(rng.choices(symbols, k=2)) for _ in range(rng.randint(1, alphabet))]
-        spec = sft(alphabet, words)
+        alphabet, spec = _random_table_spec(rng)
         for _ in range(6):  # several tables per spec share its tail memo
             static = _random_pins(rng, alphabet, rng.randint(0, 3), 6)
             moving = _random_pins(rng, alphabet, rng.randint(1, 3), 5)
@@ -280,6 +284,38 @@ def test_offset_tables_match_direct_walk():
                 checked += 1
                 fast += r + moving[0][0] > orbit.origin
     assert clashes and periodic and fast > checked // 2
+
+
+def test_offset_tables_read_in_any_order():
+    # a miss past the orbit's stored sets reads the table's own offset a whole number of periods back,
+    # so no read order may change an answer.  Each table is fresh and read in shuffled order, the far
+    # offsets 10**6 + r before the near ones r, through three periods past periodicity()'s start.  Near
+    # answers are held to the direct decider, which repeats there with that period; a far answer is held
+    # to the direct answer at the near offset of its residue past the start
+    rng, order = random.Random(16), random.Random(17)
+    seen = set()
+    for _ in range(80):
+        alphabet, spec = _random_table_spec(rng)
+        ctx = shift_core._Ctx(spec)  # tables no other read has filled
+        for _ in range(6):
+            static = _random_pins(rng, alphabet, rng.randint(0, 3), 6)
+            moving = _random_pins(rng, alphabet, rng.randint(1, 3), 5)
+            start, period = offset_table(spec, static, moving).periodicity()
+            direct = [_direct_offset(spec, static, moving, r) for r in range(start + 3 * period)]
+            assert all(direct[r] == direct[r - period] for r in range(start + period, len(direct)))
+            near = list(range(len(direct)))
+            far = [10**6 + r for r in near]
+            order.shuffle(near)
+            order.shuffle(far)
+            table = ctx.offsets[static, moving]
+            for r in far + near:
+                expected = direct[r] if r < 10**6 else direct[start + (r - start) % period]
+                assert table[r] == expected, (spec, static, moving, r)
+            orbit = table.orbit
+            seen.add("period > 1" if orbit.period > 1 else "period 1")
+            seen.add("preperiod" if orbit.preperiod else "no preperiod")
+            seen.add("mixed" if len(set(direct)) == 2 else "constant")
+    assert seen == {"period > 1", "period 1", "preperiod", "no preperiod", "mixed", "constant"}
 
 
 def test_offset_table_caches_do_not_grow_with_the_offset():
