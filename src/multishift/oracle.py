@@ -992,9 +992,9 @@ def campaign(
 ) -> CampaignReport:
     """Cross-validate deciders, constructors, and the oracle over a spec family.
 
-    Finite-type specs are deduplicated by language first.  Rows are
-    independent and may run in parallel; the report order is
-    deterministic either way.
+    Finite-type specs are deduplicated by language first.  Rows are independent and may run in
+    parallel, on at most one worker per row and per usable CPU (a forked pool starts every worker
+    at once); the report order is deterministic either way.
     """
     budget = budget or budget_from_env()
     sfts = [s for s in family if isinstance(s, SftSpec)]
@@ -1002,10 +1002,12 @@ def campaign(
     specs = dedupe_by_language(sfts) + others
     tasks = [(spec, l) for spec in specs for l in l_values]
     start = time.monotonic()
-    if jobs > 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, len(tasks), cpus)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported here: it loads multiprocessing, pickle and more
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_row_task, [(spec, l, budget) for spec, l in tasks], chunksize=8))
     else:
         rows = [_campaign_row(spec, l, budget) for spec, l in tasks]

@@ -248,7 +248,6 @@ class _Ctx:
         "_gamma",
         "offsets",
         "orbits",
-        "tails",
         "complement",
     )
 
@@ -263,7 +262,6 @@ class _Ctx:
         self.offsets = _OffsetTables()  # a single pin set is offset 0 of the table with no static pins
         self.offsets.ctx = self
         self.orbits: dict[tuple, _Orbit] = {}  # per static pin tuple: the orbit past the static pins
-        self.tails: dict[tuple, bool] = {}  # per (state set, moving pins): whether a walk from the set fits them
 
 
 # specs whose derived structures stay cached; past this, the earliest cached is dropped
@@ -423,17 +421,17 @@ class _OffsetTable(dict):
     """What ``offset_table`` returns: a missing offset is decided on lookup and kept.
 
     On a finite-type space, an offset that puts every moving pin past
-    P0 = max(window, static depths) is decided from the state set S(P)
-    of the static-only walk at P = offset + first moving depth - 1 (the
-    static pins' orbit, kept in ``orbit``) and one walk from S(P) through
-    the moving pins at their relative places (memoized per spec).  That
-    walk is exactly the tail of the direct one, which is unconstrained
-    from P0 + 1 to P.  Past the orbit's stored sets, S(P) is the set a
-    whole number of periods back, so the offset reads that earlier offset.
+    P0 = max(window, static depths) is one AND: does S(P), the set of the
+    static-only walk at P = offset + first moving depth - 1 (the static
+    pins' orbit, kept in ``orbit``), meet ``fits``, the windows ending at
+    first - 1 from which a walk meets every moving pin at its relative
+    place (0 if two clash)?  The direct walk is unconstrained from P0 + 1
+    to P, so this is exact.  ``fits`` is built on the first such miss,
+    once per moving tuple, and kept by the table without static pins.
     Other offsets, and gap-set spaces, walk directly.
     """
 
-    __slots__ = ("ctx", "static", "moving", "first", "cycle", "orbit")
+    __slots__ = ("ctx", "static", "moving", "first", "cycle", "orbit", "fits")
 
     def periodicity(self) -> tuple[int, int]:
         """(start, period): from offset ``start`` on, ``self[r]`` repeats with period ``period``.
@@ -469,11 +467,17 @@ class _OffsetTable(dict):
         if ctx.graph is not None and self.moving:
             orbit = self.orbit = self.orbit or _static_orbit(ctx, self.static)
             step = offset + self.first - 1 - orbit.origin
-            if step >= len(orbit.states):
-                ok = self[offset] = self[offset - (step - orbit.preperiod) // orbit.period * orbit.period]
-                return ok
             if step >= 0:
-                ok = self[offset] = _tail_fits(ctx, orbit.states[step], self.moving)
+                if self.fits is None:
+                    free = ctx.offsets[(), self.moving]  # the pre-image depends on the moving pins only
+                    if free.fits is None:
+                        pins: dict[int, int] = {}
+                        clash = any(pins.setdefault(pos, sym) != sym for pos, sym in self.moving)
+                        free.fits = 0 if clash else _walk_back(ctx.graph, pins, self.first, max(pins))[0]
+                    self.fits = free.fits
+                if step >= len(orbit.states):
+                    step = orbit.preperiod + (step - orbit.preperiod) % orbit.period
+                ok = self[offset] = bool(orbit.states[step] & self.fits)
                 return ok
         pins = dict(self.static)
         ok = all(pins.setdefault(offset + pos, sym) == sym for pos, sym in self.moving)
@@ -490,7 +494,7 @@ class _OffsetTables(dict):
         table = self[key] = _OffsetTable()
         table.ctx, (table.static, table.moving) = self.ctx, key
         table.first = min((pos for pos, _ in table.moving), default=0)
-        table.cycle = table.orbit = None
+        table.cycle = table.orbit = table.fits = None
         return table
 
 
@@ -553,6 +557,17 @@ def _walk(g: DeBruijnGraph, states: int, pins: Mapping[int, int], first: int, la
     return states
 
 
+def _walk_back(g: DeBruijnGraph, pins: Mapping[int, int], first: int, last: int) -> list[int]:
+    """``_walk`` backward: item t - first + 1 holds the windows ending at t (first - 1 <= t <= last) from
+    which a walk meets the pins at max(t, first)..last, so ``_walk`` from S is nonempty iff S meets item 0."""
+    ends, sets = g.at[-1], [g.full]
+    for t in range(last, first - 1, -1):
+        if t in pins:
+            sets[-1] &= ends.get(pins[t], 0)
+        sets.append(_advance(g.pred, sets[-1]))
+    return sets[::-1]
+
+
 def states_after(g: DeBruijnGraph, cmap: Mapping[int, int], through: int) -> int:
     """Window states (as a mask) at end position ``through`` of paths satisfying the pins."""
     return _walk(g, _pinned_windows(g, cmap), cmap, g.window + 1, through)
@@ -561,10 +576,9 @@ def states_after(g: DeBruijnGraph, cmap: Mapping[int, int], through: int) -> int
 class _Orbit:
     """The unconstrained-step orbit of a state set, kept up to its first repeat.
 
-    ``states[i]`` is the set i steps on; the list holds preperiod + period
-    sets, and a later step i is the set at preperiod + (i - preperiod) %
-    period.  ``origin`` is the end position of ``states[0]`` in the walk
-    it continues.
+    ``states[i]`` is the set i steps on; the list holds preperiod + period sets, and an offset
+    table reads a later step i at preperiod + (i - preperiod) % period.  ``origin`` is the end
+    position of ``states[0]`` in the walk it continues.
     """
 
     __slots__ = ("origin", "states", "preperiod", "period")
@@ -588,18 +602,6 @@ def _static_orbit(ctx: _Ctx, static: tuple) -> _Orbit:
         origin = max([g.window, *pins])
         orbit = ctx.orbits[static] = _Orbit(g, states_after(g, pins, origin), origin)
     return orbit
-
-
-def _tail_fits(ctx: _Ctx, states: int, moving: tuple) -> bool:
-    """Whether a walk from ``states`` (at the position before the first moving depth) fits the moving pins."""
-    key = states, moving
-    ok = ctx.tails.get(key)
-    if ok is None:
-        pins: dict[int, int] = {}
-        if any(pins.setdefault(pos, sym) != sym for pos, sym in moving):
-            states = 0
-        ok = ctx.tails[key] = bool(_walk(ctx.graph, states, pins, min(pins), max(pins)))
-    return ok
 
 
 def _spacing_extendable(ctx: _Ctx, cmap: Mapping[int, int]) -> bool:
@@ -648,23 +650,19 @@ def least_word(spec: ShiftSpec, length: int, constraints: Iterable[tuple[int, in
 
 
 def _sft_least_word(ctx: _Ctx, length: int, cmap: Mapping[int, int]) -> Optional[str]:
+    """The least pinned window, then the least successor each step among the pins' backward walk sets."""
     g = ctx.graph
     if not g.vertices:
         return None
-    L, ends = g.window, g.at[-1]
-    # feasible[t] = states (window ending at position t) fitting a pin at t > L, from which t+1..length completes
-    feasible = [g.full] * (max(length, L) + 1)
-    for t in range(length, L, -1):
-        if t in cmap:
-            feasible[t] &= ends.get(cmap[t], 0)
-        feasible[t - 1] = _advance(g.pred, feasible[t])
-    states = feasible[L] & _pinned_windows(g, cmap)
+    L = g.window
+    feasible = _walk_back(g, cmap, L + 1, max(length, L))  # item t - L: windows ending at t
+    states = feasible[0] & _pinned_windows(g, cmap)
     if not states:
         return None
     state = (states & -states).bit_length() - 1  # lowest bit: the least window
     word = [g.vertices[state][:length]]
     for t in range(L + 1, length + 1):
-        states = g.succ[state] & feasible[t]
+        states = g.succ[state] & feasible[t - L]
         state = (states & -states).bit_length() - 1  # least successor: least appended symbol
         word.append(g.vertices[state][-1])
     return "".join(word)

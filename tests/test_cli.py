@@ -287,7 +287,6 @@ _EXTREME_CALLS = [
     # past 20 symbols a word, the cap is 20 * 2**20 symbols: 2**20 * 20 // 60 = 349525 words at n = 60
     ("blocks --spec golden --n 60", 1024, 2, _too_many(514229, 27, 349525)),
     ("blocks --spec full2 --n 40", 1024, 2, _too_many(2**20, 20, 2**19)),
-    ("blocks --spec full10 --n 8", 1024, 2, _too_many(10**7, 7, 2**20)),
     # a refusal stores at most cap + 1 of the 10**7 words of length 7: about 160 MB
     ("blocks --spec full10 --n 8", 384, 2, _too_many(10**7, 7, 2**20)),
     ("blocks --spec dense --n 1200", 1024, 0, ""),

@@ -714,6 +714,39 @@ def test_campaign_parallel_matches_serial():
     assert [r.to_dict() for r in serial.rows] == [r.to_dict() for r in parallel.rows]
 
 
+def test_campaign_workers_are_bounded_by_rows_and_cpus(monkeypatch):
+    # a forked pool starts all of its workers on the first submit, so --jobs is cut to the rows and
+    # the usable CPUs; the fake pool records its size and maps in this process, starting none
+    import concurrent.futures
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    fam = binary_sft_family(2)[:5]
+    budget = SearchBudget(alpha_bound=3, k_bound=2, pair_length_bound=1)
+    serial = [r.to_dict() for r in campaign(fam, [2], budget).rows]
+    assert len(serial) == 5 and sizes == []
+    for specs, jobs, size in ((5, 10**6, 3), (5, 2, 2), (2, 10**6, 2)):  # cut by the CPUs, --jobs, the rows
+        assert [r.to_dict() for r in campaign(fam[:specs], [2], budget, jobs=jobs).rows] == serial[:specs]
+        assert sizes.pop() == size
+    assert [r.to_dict() for r in campaign(fam[:1], [2], budget, jobs=10**6).rows] == serial[:1]
+    assert sizes == []  # one row runs serially
+
+
 def test_acceptance_campaign_jsonl_is_pinned(monkeypatch):
     # Parity pin for the acceptance campaign (`multishift campaign --random 200 --l 2,3`).  Its
     # JSONL does not depend on PYTHONHASHSEED or on --jobs.  A change that alters any answer

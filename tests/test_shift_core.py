@@ -260,13 +260,13 @@ def _random_table_spec(rng):
 
 
 def test_offset_tables_match_direct_walk():
-    # past the static pins a table reads the static orbit and a memoized tail walk;
+    # past the static pins a table ANDs the static orbit's set with its moving pins' pre-image;
     # every offset through two periods past the orbit list must agree with the direct decider
     rng = random.Random(16)
     checked = fast = clashes = periodic = 0
     for _ in range(80):
         alphabet, spec = _random_table_spec(rng)
-        for _ in range(6):  # several tables per spec share its tail memo
+        for _ in range(6):  # several tables per spec
             static = _random_pins(rng, alphabet, rng.randint(0, 3), 6)
             moving = _random_pins(rng, alphabet, rng.randint(1, 3), 5)
             orbit = shift_core._static_orbit(shift_core._ctx(spec), static)
@@ -286,10 +286,41 @@ def test_offset_tables_match_direct_walk():
     assert clashes and periodic and fast > checked // 2
 
 
+def test_walk_back_matches_forward_walks():
+    # item t - first + 1 of the backward walk holds exactly the windows ending at t whose forward walk
+    # meets the pins from max(t, first) on; a table's pre-image is item 0, or 0 when its pins clash
+    rng = random.Random(31)
+    clashes = 0
+    for _ in range(60):
+        alphabet, spec = _random_table_spec(rng)
+        g = build_graph(spec)
+        for _ in range(4):
+            moving = _random_pins(rng, alphabet, rng.randint(1, 3), 5)
+            if rng.random() < 0.25:  # a second symbol at a pinned position
+                pos, sym = rng.choice(moving)
+                moving = tuple(sorted(moving + ((pos, (sym + 1) % alphabet),)))
+            pins = dict(moving)
+            clash = len(pins) < len(moving)
+            clashes += clash
+            first, last = moving[0][0], max(pins)
+            table = offset_table(spec, (), moving)
+            table[g.window]  # the first offset past the first window builds the pre-image
+            sets = shift_core._walk_back(g, pins, first, last)
+            for i, window in enumerate(g.vertices):
+                fits = bool(shift_core._walk(g, 1 << i, pins, first, last))
+                assert bool(table.fits >> i & 1) == (fits and not clash), (spec, moving, window)
+                for t in range(first - 1, last + 1):
+                    carries = t < first or pins.get(t, int(window[-1])) == int(window[-1])
+                    expected = carries and bool(shift_core._walk(g, 1 << i, pins, t + 1, last))
+                    assert bool(sets[t - first + 1] >> i & 1) == expected, (spec, pins, window, t)
+    assert clashes
+
+
 def test_offset_tables_read_in_any_order():
-    # a miss past the orbit's stored sets reads the table's own offset a whole number of periods back,
-    # so no read order may change an answer.  Each table is fresh and read in shuffled order, the far
-    # offsets 10**6 + r before the near ones r, through three periods past periodicity()'s start.  Near
+    # a miss past the orbit's stored sets reads the stored set its step wraps to, and the pre-image is
+    # built on the first miss past the static pins, so no read order may change an answer.  Each table
+    # is fresh and read in shuffled order, the far offsets 10**6 + r before the near ones r, through
+    # three periods past periodicity()'s start.  Near
     # answers are held to the direct decider, which repeats there with that period; a far answer is held
     # to the direct answer at the near offset of its residue past the start
     rng, order = random.Random(16), random.Random(17)
@@ -318,8 +349,10 @@ def test_offset_tables_read_in_any_order():
     assert seen == {"period > 1", "period 1", "preperiod", "no preperiod", "mixed", "constant"}
 
 
-def test_offset_table_caches_do_not_grow_with_the_offset():
+def test_offset_table_caches_do_not_grow_with_the_offset(monkeypatch):
     # 2 -> 0 and 0 <-> 1 only: from a 2 at position 1 the walk is 2, 0, 1, 0, 1, ...
+    walk_back, built = shift_core._walk_back, []
+    monkeypatch.setattr(shift_core, "_walk_back", lambda *args: built.append(args) or walk_back(*args))
     spec = sft(3, ["00", "02", "11", "12", "21", "22"])
     static, moving = ((1, 2),), ((1, 1), (2, 0))  # a 1 then a 0 at r + 1, r + 2: odd r + 1 >= 3
     table = offset_table(spec, static, moving)
@@ -327,16 +360,21 @@ def test_offset_table_caches_do_not_grow_with_the_offset():
     assert (orbit.origin, orbit.preperiod, orbit.period) == (1, 1, 2)
     assert table[10**6] is True and table[2] is True  # both read orbit step 1 (10**6 by its residue)
     assert len(orbit.states) == orbit.preperiod + orbit.period
-    del table  # a table holds its spec's context
+    # the moving pins' pre-image is one int, the windows at position 0 that a 1 then a 0 follow,
+    # built once for both reads and kept by the table with the same moving pins and no static pins
+    assert table.fits == 1 << build_graph(spec).vertices.index("0")
+    free = offset_table(spec, (), moving)
+    assert free.fits == table.fits and free[5] is True and len(built) == 1
+    del table, free  # a table holds its spec's context
     # the caches live on the spec's context, so the 64-spec bound drops them with it
-    assert shift_core._ctx(spec).orbits[static] is orbit and shift_core._ctx(spec).tails
+    assert shift_core._ctx(spec).orbits[static] is orbit
     for gap in range(1, shift_core._CACHED_SPECS + 1):
         shift_core._ctx(spacing("cofinite", [gap], horizon=10**6 + gap))
     assert spec not in shift_core._CONTEXTS
     gc.collect()
     assert [ref for ref in gc.get_referrers(orbit) if isinstance(ref, dict)] == []
     fresh = shift_core._ctx(spec)
-    assert fresh.orbits == {} and fresh.tails == {}
+    assert fresh.orbits == {} and fresh.offsets == {}
 
 
 def test_offset_tables_on_gap_sets_keep_the_direct_check():
