@@ -60,17 +60,18 @@ class Pattern:
     ``entries`` maps positions (>= 1) to symbols; a block is the special
     case with support [1, n].  The pattern carries its chain base and
     base-space spec so admissibility is a total function of the pattern.
-    The pattern length is its largest constrained position.
+    Entries are sorted by position on construction.  The pattern length
+    is its largest constrained position.
     """
 
     entries: tuple[tuple[int, int], ...]
     base: int
     omega: ShiftSpec
-    # filled on first use by fibers() and inadmissible_classes()
+    # filled on first use by fibers()
     _fibers: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
-    _bad: Optional[tuple[int, ...]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
         _check_base(self.base)
         if not self.entries:
             raise ValueError("pattern must constrain at least one position")
@@ -84,13 +85,10 @@ class Pattern:
             if not 0 <= sym < m:
                 raise ValueError(f"symbol {sym} out of range for alphabet {m}")
             seen.add(pos)
-        if self.entries != tuple(sorted(self.entries)):
-            raise ValueError("entries must be position-sorted; use Pattern.make")
 
     @classmethod
     def make(cls, entries: Mapping[int, int] | Iterable[tuple[int, int]], base: int, omega: ShiftSpec) -> "Pattern":
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        return cls(tuple(sorted(items)), base, omega)
+        return cls(tuple(entries.items() if isinstance(entries, Mapping) else entries), base, omega)
 
     @classmethod
     def block(cls, word: str, base: int, omega: ShiftSpec) -> "Pattern":
@@ -126,11 +124,9 @@ def is_admissible(u: Pattern) -> bool:
 
 
 def inadmissible_classes(u: Pattern) -> list[int]:
-    """Chain representatives whose fiber constraints are unsatisfiable (computed once per pattern)."""
-    if u._bad is None:
-        bad = tuple(rep for rep, cons in u.fibers().items() if not shift_core.offset_table(u.omega, (), cons)[0])
-        object.__setattr__(u, "_bad", bad)
-    return list(u._bad)
+    """Chain representatives whose fiber constraints are unsatisfiable, read off the spec's offset tables."""
+    tables = shift_core.offset_tables(u.omega)
+    return [rep for rep, cons in u.fibers().items() if not tables[(), cons][0]]
 
 
 def count_blocks(omega: ShiftSpec, l: int, n: int) -> int:

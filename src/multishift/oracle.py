@@ -19,7 +19,6 @@ certificate that fails re-verification.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -242,13 +241,6 @@ def _cover_fault(omega: ShiftSpec, l: int, u: Pattern, v: Pattern, cert: Witness
 # fast per-pair probing with precomputed fiber structure
 
 
-@functools.lru_cache(maxsize=4096)
-def _split(n: int, l: int) -> tuple[int, int]:
-    """``decompose(n, l)`` as (alpha, k); every probe asks for the same few products."""
-    d = decompose(n, l)
-    return d.alpha, d.k
-
-
 class _PairProbe:
     """Per-pair decision engine for the multipliers |u| * m * l**e (any m >= 1, e >= 0).
 
@@ -271,7 +263,8 @@ class _PairProbe:
         self.l = l
         self.u = u
         self.v = v
-        self.alpha1, self.k1 = _split(u.length, l)
+        d = decompose(u.length, l)
+        self.alpha1, self.k1 = d.alpha, d.k
         self.u_groups = u.fibers()
         self.v_groups = v.fibers()
         self.u_bad = frozenset(mult_shift.inadmissible_classes(u))
@@ -284,9 +277,9 @@ class _PairProbe:
         if layout is None:
             layout = []
             for j, cons in self.v_groups.items():
-                target, depth = _split(self.alpha1 * m * j, self.l)
-                table = self.tables[self.u_groups.get(target, ()), cons]
-                layout.append((target, depth + self.k1, cons, table))
+                d = decompose(self.alpha1 * m * j, self.l)
+                table = self.tables[self.u_groups.get(d.alpha, ()), cons]
+                layout.append((d.alpha, d.k + self.k1, cons, table))
             self._targets[m] = layout
         return layout
 
@@ -346,14 +339,15 @@ class _PairGrid:
         self.full = (1 << n * n) - 1
         self.tables = shift_core.offset_tables(omega)
         self.unsure = self.full if self.tables.ctx.graph is None else 0
-        # u's by length, as (alpha1, k1, [(spread bit of u, u's fibers)]); u's with an inadmissible class drop out
+        # u's by length, as (decomposed length, [(spread bit of u, u's fibers)]);
+        # u's with an inadmissible class drop out
         by_length: dict[int, list] = {}
         self.good = 0
         for i, u in enumerate(pats):
             if not mult_shift.inadmissible_classes(u):
                 by_length.setdefault(u.length, []).append((1 << i * n, u.fibers()))
                 self.good |= ((1 << n) - 1) << i * n
-        self.u_lengths = [(*_split(length, l), members) for length, members in by_length.items()]
+        self.u_lengths = [(decompose(length, l), members) for length, members in by_length.items()]
         # per v chain c: v's by fiber on c (masks over v indices), and the pairs free on c
         self.v_groups: dict[int, dict[tuple, int]] = {}
         for j, v in enumerate(pats):
@@ -378,12 +372,12 @@ class _PairGrid:
         out = [self.good] * width
         for c, v_groups in self.v_groups.items():
             rows: dict[int, int] = {}  # depth row -> pairs accepted on chain c at its depths
-            for alpha1, k1, members in self.u_lengths:
-                target, depth = _split(alpha1 * m * c, self.l)
-                base = depth + k1
+            for d1, members in self.u_lengths:
+                d = decompose(d1.alpha * m * c, self.l)
+                base = d.k + d1.k
                 u_groups: dict[tuple, int] = {}
                 for bit, fibers in members:
-                    ufib = fibers.get(target, ())
+                    ufib = fibers.get(d.alpha, ())
                     u_groups[ufib] = u_groups.get(ufib, 0) | bit
                 for ufib, uspread in u_groups.items():
                     by_row: dict[int, int] = {}
@@ -504,7 +498,8 @@ def _directional(probe: _PairProbe, q: int, budget: SearchBudget) -> tuple:
 
     The multiplier |u| * alpha * q**k is (alpha * a_q**k, n * k) for q = a_q * l**n.
     """
-    a_q, n = _split(q, probe.l)
+    dq = decompose(q, probe.l)
+    a_q, n = dq.alpha, dq.k
     alphas = a_set(q, budget.alpha_bound)
     failures = []
     for k in range(budget.k_bound + 1):
@@ -848,9 +843,12 @@ def _nonextensible_refutation(spec: ShiftSpec, l: int):
     if not dead:
         return None
     word = dead[0]
-    placed = shift_core.offset_table(spec, (), word_pins(word))
-    # only dead windows precede a dead window, and they form no cycle: it lies fewer than len(g) positions deep
-    offset = next(m for m in range(1, len(g.vertices) + 2) if not placed[m])
+    # the windows that can sit at offset m (positions m + 1 on) are the unconstrained walk's set m steps
+    # from g.full; only dead windows precede a dead window and they form no cycle, so it drops out
+    # within len(g) steps
+    bit, offset, states = 1 << g.vertices.index(word), 0, g.full
+    while states & bit:
+        offset, states = offset + 1, shift_core._advance(g.succ, states)
     u = Pattern.block(mult_shift.least_block(spec, l, l**offset), l, spec)
     # chain 1 of v carries the dead window; every other chain its least word
     v = Pattern.block(mult_shift.least_block(spec, l, l ** (len(word) - 1), {1: word_pins(word)}), l, spec)

@@ -15,6 +15,7 @@ value.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -77,12 +78,17 @@ def _normalize_forbidden(words: Iterable[str]) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class SftSpec:
-    """Finite-type shift over {0, ..., alphabet-1} given by forbidden words."""
+    """Finite-type shift over {0, ..., alphabet-1} given by forbidden words.
+
+    The forbidden set is normalized on construction, before it is checked:
+    a word that contains another forbidden word is dropped unread.
+    """
 
     alphabet: int
     forbidden: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "forbidden", _normalize_forbidden(self.forbidden))
         if not 1 <= self.alphabet <= 10:
             raise SpecError(f"alphabet size must be in [1, 10], got {self.alphabet}")
         digits = _DIGITS[: self.alphabet]
@@ -91,8 +97,6 @@ class SftSpec:
                 raise SpecError("forbidden words must be nonempty")
             if w.strip(digits):
                 raise SpecError(f"symbol {w.lstrip(digits)[0]!r} out of range in forbidden word {w!r}")
-        if self.forbidden != _normalize_forbidden(self.forbidden):
-            raise SpecError("forbidden set is not normalized; use sft() to build specs")
 
     @property
     def memory(self) -> int:
@@ -100,8 +104,8 @@ class SftSpec:
 
 
 def sft(alphabet: int, forbidden: Iterable[str] = ()) -> SftSpec:
-    """Build a finite-type spec, normalizing the forbidden set."""
-    return SftSpec(alphabet, _normalize_forbidden(forbidden))
+    """Build a finite-type spec; the spec normalizes the forbidden set."""
+    return SftSpec(alphabet, forbidden)
 
 
 @dataclass(frozen=True)
@@ -110,9 +114,9 @@ class SpacingSpec:
 
     ``complement`` lists the banned gaps (the gap set is its complement in
     the nonnegative integers), tabulated up to ``horizon``.  For the
-    ``cofinite`` class the list is the entire complement.  The declared
-    class is trusted metadata: weak mixing of a gap-set shift is not
-    decidable from a tabulated prefix.
+    ``cofinite`` class the list is the entire complement; it is sorted and
+    deduplicated on construction.  The declared class is trusted metadata:
+    weak mixing of a gap-set shift is not decidable from a tabulated prefix.
     """
 
     declared_class: str
@@ -120,10 +124,9 @@ class SpacingSpec:
     horizon: int = DEFAULT_HORIZON
 
     def __post_init__(self):
+        object.__setattr__(self, "complement", tuple(sorted(set(self.complement))))
         if self.declared_class not in ("cofinite", "thick", "general"):
             raise SpecError(f"unknown gap-set class {self.declared_class!r}")
-        if self.complement != tuple(sorted(set(self.complement))):
-            raise SpecError("complement must be sorted and duplicate-free; use spacing()")
         if any(c < 1 for c in self.complement):
             raise SpecError("gap 0 is always allowed; complement entries must be >= 1")
         if self.horizon < 1:
@@ -135,8 +138,8 @@ class SpacingSpec:
 
 
 def spacing(declared_class: str, complement: Iterable[int] = (), horizon: int = DEFAULT_HORIZON) -> SpacingSpec:
-    """Build a gap-set spec, sorting the banned-gap list."""
-    return SpacingSpec(declared_class, tuple(sorted(set(complement))), horizon)
+    """Build a gap-set spec; the spec sorts the banned-gap list."""
+    return SpacingSpec(declared_class, complement, horizon)
 
 
 ShiftSpec = Union[SftSpec, SpacingSpec]
@@ -264,19 +267,13 @@ class _Ctx:
         self.orbits: dict[tuple, _Orbit] = {}  # per static pin tuple: the orbit past the static pins
 
 
-# specs whose derived structures stay cached; past this, the earliest cached is dropped
+# specs whose derived structures stay cached; past this, the least recently used is dropped
 _CACHED_SPECS = 64
 
-_CONTEXTS: dict[ShiftSpec, _Ctx] = {}
 
-
+@functools.lru_cache(maxsize=_CACHED_SPECS)
 def _ctx(spec: ShiftSpec) -> _Ctx:
-    ctx = _CONTEXTS.get(spec)
-    if ctx is None:
-        if len(_CONTEXTS) >= _CACHED_SPECS:
-            del _CONTEXTS[next(iter(_CONTEXTS))]
-        ctx = _CONTEXTS[spec] = _Ctx(spec)
-    return ctx
+    return _Ctx(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,15 @@ def _prime_factors(n: int) -> set[int]:
     return {p for p, _ in factorization(n)}
 
 
+def _premise(omega: ShiftSpec, prop: str, u: Pattern, v: Pattern) -> None:
+    """PreconditionFailed unless the base space has ``prop``; InadmissiblePattern unless u and v are admissible."""
+    verdict = decide(omega, prop)
+    if not verdict.value:
+        raise PreconditionFailed(f"base space is not {prop.replace('_', ' ')}: {verdict.evidence}")
+    require_admissible(u, "u")
+    require_admissible(v, "v")
+
+
 def witness_transitive(omega: ShiftSpec, l: int, u: Pattern, v: Pattern, k: int) -> WitnessCertificate:
     """Connect u to v at any requested depth k via a large-prime multiplier step.
 
@@ -192,11 +201,7 @@ def witness_transitive(omega: ShiftSpec, l: int, u: Pattern, v: Pattern, k: int)
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    verdict = decide(omega, "extensible")
-    if not verdict.value:
-        raise PreconditionFailed(f"base space is not extensible: {verdict.evidence}")
-    require_admissible(u, "u")
-    require_admissible(v, "v")
+    _premise(omega, "extensible", u, v)
     alpha = next_prime_avoiding(xi(u.length, l), _prime_factors(l))
     return try_certificate(omega, l, u, v, alpha, k, "transitive_prime_alpha")
 
@@ -213,11 +218,7 @@ def witness_directional_coprime(
     """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
-    verdict = decide(omega, "extensible")
-    if not verdict.value:
-        raise PreconditionFailed(f"base space is not extensible: {verdict.evidence}")
-    require_admissible(u, "u")
-    require_admissible(v, "v")
+    _premise(omega, "extensible", u, v)
     base_primes = _prime_factors(l)
     coprime = sorted(p for p in _prime_factors(modulus) if p not in base_primes)
     if not coprime:
@@ -304,11 +305,7 @@ def witness_directional_power(
         raise ValueError("power must be >= 1")
     if alpha_bound < 1:
         raise ValueError("alpha_bound must be >= 1")
-    verdict = decide(omega, "weakly_mixing")
-    if not verdict.value:
-        raise PreconditionFailed(f"base space is not weakly mixing: {verdict.evidence}")
-    require_admissible(u, "u")
-    require_admissible(v, "v")
+    _premise(omega, "weakly_mixing", u, v)
     q = l**n
     cover = _connector_cover(omega, l, n, u, v)
     k1 = decompose(u.length, l).k
@@ -329,11 +326,7 @@ def witness_mixing(omega: ShiftSpec, l: int, u: Pattern, v: Pattern) -> MixingWi
     chain collision leaves enough depth gap for the base space's uniform
     connections.
     """
-    verdict = decide(omega, "mixing")
-    if not verdict.value:
-        raise PreconditionFailed(f"base space is not mixing: {verdict.evidence}")
-    require_admissible(u, "u")
-    require_admissible(v, "v")
+    _premise(omega, "mixing", u, v)
     threshold = mixing_gap_index(omega)
 
     def build(alpha: int, k: int) -> WitnessCertificate:

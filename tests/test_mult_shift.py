@@ -209,6 +209,13 @@ def test_pattern_literals():
         parse_pattern("l=2;support=1,2;values=1", GOLDEN)
 
 
+def test_patterns_sort_their_entries():
+    direct = Pattern(((3, 0), (1, 1)), 2, GOLDEN)
+    assert direct == Pattern.make({1: 1, 3: 0}, 2, GOLDEN) == Pattern.make([(3, 0), (1, 1)], 2, GOLDEN)
+    assert direct.entries == ((1, 1), (3, 0)) and direct.length == 3
+    assert format_pattern(direct) == "l=2;support=1,3;values=1,0"
+
+
 def test_pattern_validation():
     with pytest.raises(ValueError):
         Pattern.make({0: 1}, 2, GOLDEN)

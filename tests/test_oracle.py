@@ -489,7 +489,8 @@ def _directional_redeciding(probe, q, budget):
     """``_directional`` as it was: the proof search re-decides every depth k for each alpha."""
     from multishift.lambda_arith import a_set
 
-    a_q, n = oracle._split(q, probe.l)
+    d = decompose(q, probe.l)
+    a_q, n = d.alpha, d.k
     alphas = a_set(q, budget.alpha_bound)
     failures = []
     for k in range(budget.k_bound + 1):

@@ -11,6 +11,8 @@ from multishift.errors import HorizonExceeded, PreconditionFailed, SpecError, Un
 from multishift.oracle import binary_sft_family, random_sft_family
 from multishift.shift_core import (
     PROPERTIES,
+    SftSpec,
+    SpacingSpec,
     blocks,
     build_graph,
     decide,
@@ -108,7 +110,7 @@ def test_window_graph_build_and_decide_on_1000_windows():
     # a fresh n-long table per edge costs about 0.2 s, and an exponent that steps every set
     # bit of every row about 0.4 s
     spec = sft(10, ["0000"])
-    shift_core._CONTEXTS.pop(spec, None)
+    shift_core._ctx.cache_clear()
     start = time.process_time()
     g = build_graph(spec)
     built = time.process_time() - start
@@ -148,6 +150,28 @@ def test_normalization_matches_the_reference_rule():
         words = ["".join(rng.choice(digits) for _ in range(rng.randint(1, 4))) for _ in range(rng.randint(0, 12))]
         assert shift_core._normalize_forbidden(words) == normalize_forbidden(words)
         assert sft(len(digits), words).forbidden == normalize_forbidden(words)
+
+
+def test_specs_normalize_themselves():
+    # a directly built spec is normalized, so it equals (and hashes as) the factory's
+    direct = SftSpec(2, ("11", "1"))
+    assert direct == sft(2, ["1"]) and direct.forbidden == ("1",) and hash(direct) == hash(sft(2, ["1"]))
+    assert SftSpec(3, ["20", "1", "2", "12"]) == sft(3, ["1", "2"])
+    assert SpacingSpec("thick", (12, 3, 3)) == spacing("thick", [3, 12])
+    assert SpacingSpec("thick", [12, 3, 3]).complement == (3, 12)
+    # normalizing comes before checking: "19" holds the forbidden "1", so it is dropped unread
+    assert sft(2, ["1", "19"]) == SftSpec(2, ("1",))
+    with pytest.raises(SpecError, match="symbol '9' out of range"):
+        sft(2, ["19"])
+
+
+def test_sft_normalizes_once(monkeypatch):
+    normalize, calls = shift_core._normalize_forbidden, []
+    monkeypatch.setattr(shift_core, "_normalize_forbidden", lambda words: calls.append(words) or normalize(words))
+    assert sft(2, ["11", "1", "011"]).forbidden == ("1",)
+    assert len(calls) == 1
+    assert spec_from_dict({"kind": "sft", "alphabet": 2, "forbidden": ["00", "000"]}).forbidden == ("00",)
+    assert len(calls) == 2
 
 
 # --- blocks -----------------------------------------------------------------
@@ -370,10 +394,12 @@ def test_offset_table_caches_do_not_grow_with_the_offset(monkeypatch):
     assert shift_core._ctx(spec).orbits[static] is orbit
     for gap in range(1, shift_core._CACHED_SPECS + 1):
         shift_core._ctx(spacing("cofinite", [gap], horizon=10**6 + gap))
-    assert spec not in shift_core._CONTEXTS
+    assert shift_core._ctx.cache_info().currsize == shift_core._CACHED_SPECS
     gc.collect()
     assert [ref for ref in gc.get_referrers(orbit) if isinstance(ref, dict)] == []
-    fresh = shift_core._ctx(spec)
+    misses = shift_core._ctx.cache_info().misses
+    fresh = shift_core._ctx(spec)  # evicted: the lookup misses and builds a new context
+    assert shift_core._ctx.cache_info().misses == misses + 1
     assert fresh.orbits == {} and fresh.offsets == {}
 
 
@@ -538,6 +564,35 @@ def test_window_graph_structure_matches_string_search():
     }
 
 
+def test_dead_window_offset_matches_the_offset_table():
+    # the refutation's offset is the least m >= 1 at which its dead window no longer fits, read off
+    # the word's offset table; countdowns a-1 -> ... -> 1 -> 0 -> 0 with random extra downward steps
+    # and forbidden 3-words put the least dead window up to a - 1 positions deep
+    from multishift.oracle import _nonextensible_refutation
+
+    rng = random.Random(3232)
+    specs = [sft(4, [f"{x}{y}" for x in "0123" for y in "0123" if f"{x}{y}" not in ("32", "21", "10", "00")])]
+    for _ in range(120):
+        alphabet = rng.randint(3, 5)
+        digits = "01234"[:alphabet]
+        steps = {"00"} | {f"{x}{int(x) - 1}" for x in digits[1:]}
+        steps |= {f"{x}{y}" for x in digits for y in digits if y < x and rng.random() < 0.3}
+        extra = ["".join(rng.choice(digits) for _ in range(3)) for _ in range(rng.randint(0, 3))]
+        specs.append(sft(alphabet, [f"{x}{y}" for x in digits for y in digits if f"{x}{y}" not in steps] + extra))
+    depths = set()
+    for spec in specs:
+        refutation = _nonextensible_refutation(spec, 2)
+        if refutation is None:
+            continue
+        word, offset = refutation[2], refutation[3]
+        g = build_graph(spec)
+        placed = offset_table(spec, (), word_pins(word))
+        assert offset == next(m for m in range(1, len(g) + 2) if not placed[m]), spec
+        depths.add(offset)
+    assert _nonextensible_refutation(specs[0], 2)[2:] == ("1", 3)
+    assert max(depths) > 2 and len(depths) >= 3, depths
+
+
 def test_window_graph_structure_on_715_windows():
     # nondecreasing points over ten symbols that never hold 0 five times running: the
     # windows are the 715 nondecreasing 4-words, each its own component; only the nine
@@ -563,7 +618,7 @@ def test_components_in_time_linear_in_the_edges():
     # component; one walk over the edges takes a few milliseconds of CPU, where a forward and a
     # backward closure per component takes about half a second
     spec = sft(10, [f"{b}{a}" for b in range(10) for a in range(b)] + ["0" * 7])
-    shift_core._CONTEXTS.pop(spec, None)
+    shift_core._ctx.cache_clear()
     g = build_graph(spec)
     start = time.process_time()
     verdict = decide(spec, "transitive")
