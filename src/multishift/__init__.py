@@ -69,7 +69,10 @@ from .shift_core import (
     spec_to_dict,
 )
 from .witness import (
+    DirectionalAllAlpha,
+    MixingPastThreshold,
     WitnessCertificate,
+    witness_directional_all_alpha,
     witness_directional_coprime,
     witness_directional_power,
     witness_mixing,

@@ -163,7 +163,12 @@ def cmd_verify(args) -> int:
     certs = [witness_mod.certificate_from_dict(item) for item in raw_list]
     answers = oracle.verify_certificates(spec, l, certs)
     ok_all = all(ok for ok, _ in answers)
-    results = [{"ok": ok, "reason": reason, "multiplier": c.multiplier} for c, (ok, reason) in zip(certs, answers)]
+    # a claim over every multiplier past a bound names its construction in place of one multiplier
+    named = [
+        {"multiplier": c.multiplier} if isinstance(c, witness_mod.WitnessCertificate) else {"claim": c.construction}
+        for c in certs
+    ]
+    results = [{"ok": ok, "reason": reason, **name} for name, (ok, reason) in zip(named, answers)]
     _emit({"verified": ok_all, "results": results})
     return 0 if ok_all else 1
 

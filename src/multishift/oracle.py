@@ -31,8 +31,8 @@ from . import mult_shift, shift_core, witness as witness_mod
 from .errors import ConnectorNotFound, OutputGuardExceeded, PreconditionFailed, UndecidableProperty
 from .lambda_arith import a_set, decompose, product_offset_bound
 from .mult_shift import Pattern, multiplier_constraints, parse_pattern
-from .shift_core import PROPERTIES, SftSpec, ShiftSpec, sft, spec_to_dict, word_pins
-from .witness import WitnessCertificate, try_certificate
+from .shift_core import PROPERTIES, SftSpec, ShiftSpec, SpacingSpec, sft, spec_to_dict, word_pins
+from .witness import Certificate, DirectionalAllAlpha, MixingPastThreshold, WitnessCertificate, try_certificate
 
 __all__ = [
     "CampaignReport",
@@ -110,30 +110,34 @@ def exists_witness_exact(
     return try_certificate(omega, l, u, v, alpha, k, "oracle_search")
 
 
-def verify_certificate(omega: ShiftSpec, l: int, cert: WitnessCertificate) -> tuple[bool, str]:
+def verify_certificate(omega: ShiftSpec, l: int, cert: Certificate) -> tuple[bool, str]:
     """Re-check one certificate from scratch: ``verify_certificates`` on a one-element list."""
     return verify_certificates(omega, l, [cert])[0]
 
 
-def verify_certificates(omega: ShiftSpec, l: int, certs: Sequence[WitnessCertificate]) -> list[tuple[bool, str]]:
+def verify_certificates(omega: ShiftSpec, l: int, certs: Sequence[Certificate]) -> list[tuple[bool, str]]:
     """Re-check certificates from scratch against the exact oracle, one (ok, reason) each.
 
-    Each certificate's constraint groups are re-derived from its patterns
-    and multiplier, then its prefix is checked to satisfy them and to be
-    admissible.  A connector cover, when present, is checked claim by
-    claim.
+    A per-multiplier certificate's constraint groups are re-derived from
+    its patterns and multiplier, then its prefix is checked to satisfy
+    them and to be admissible.  A connector cover, when present, is
+    checked claim by claim.  The two claims with no prefix are checked
+    in full, for every multiplier they quantify over: ``_all_alpha_fault``
+    and ``_gap_index_fault`` say why their checks prove them.
 
     By fiber independence a check reads nothing of a certificate but the
     fields in its memo's key, besides ``omega`` and ``l``, so the
     certificates of one call that agree on the key share one answer:
     - each (u_literal, v_literal) pair is parsed once;
     - constraints and prefix are checked once per (u_literal, v_literal,
-      multiplier, constraints, prefix): the directional lists at q = l and
-      q = l**2, the mixing picks and the transitive certificates of a
-      campaign row land on the same multipliers;
+      multiplier, constraints, prefix): the transitive certificates and
+      the per-alpha lists of a campaign row may land on the same
+      multipliers;
     - a cover is checked once per (u_literal, v_literal, directional base,
-      k, cover): every certificate of one ``witness_directional_power``
-      call carries the same cover.
+      k, cover): a directional claim and its per-alpha certificates carry
+      the same cover;
+    - each fiber's admissibility, and each threshold's gap-index check,
+      is decided once.
     The metadata checks read the directional base, alpha and k, which the
     claim key leaves out, so they run for every certificate, first.  Check
     order and reasons are those of a certificate checked alone, and no
@@ -142,8 +146,18 @@ def verify_certificates(omega: ShiftSpec, l: int, certs: Sequence[WitnessCertifi
     patterns: dict = {}  # (u_literal, v_literal) -> (u, v), or why they do not parse
     claims: dict = {}  # claim key -> why the constraints or the prefix fail, or None
     covers: dict = {}  # cover key -> _cover_fault's answer
+    fibers: dict = {}  # base-space pins -> whether a point meets them (validated partial_extendable)
+    gaps: dict = {}  # threshold -> why it is no gap index, or None
 
-    def fault(cert: WitnessCertificate) -> Optional[str]:
+    def inadmissible(name: str, pattern: Pattern) -> Optional[str]:
+        for rep, cons in pattern.fibers().items():
+            if cons not in fibers:
+                fibers[cons] = shift_core.partial_extendable(omega, cons)
+            if not fibers[cons]:
+                return f"{name} is inadmissible on chain {rep}"
+        return None
+
+    def fault(cert: Certificate) -> Optional[str]:
         literals = (cert.u_literal, cert.v_literal)
         if literals not in patterns:
             try:
@@ -154,31 +168,127 @@ def verify_certificates(omega: ShiftSpec, l: int, certs: Sequence[WitnessCertifi
         if isinstance(parsed, str):
             return parsed
         u, v = parsed
-        if (
+        if isinstance(cert, MixingPastThreshold):
+            if cert.threshold not in gaps:
+                gaps[cert.threshold] = _gap_index_fault(omega, cert.threshold)
+            return inadmissible("u", u) or inadmissible("v", v) or gaps[cert.threshold]
+        if isinstance(cert, DirectionalAllAlpha):
+            why = _all_alpha_fault(l, v, cert) or inadmissible("u", u) or inadmissible("v", v)
+            if why:
+                return why
+        elif (
             cert.directional_base < 2
             # base**k >= 2**((bits(base) - 1) * k) > multiplier: refused before the power is taken
             or (cert.directional_base.bit_length() - 1) * cert.k >= cert.multiplier.bit_length()
             or cert.multiplier != u.length * cert.alpha * cert.directional_base**cert.k
         ):
             return "multiplier disagrees with (alpha, k, directional base)"
-        key = (*literals, cert.multiplier, cert.constraints, cert.prefix)
-        if key not in claims:
-            mcs = multiplier_constraints(u, v, cert.multiplier)
-            if not mcs.satisfiable_form:
-                claims[key] = f"constraints conflict at positions {[c[0] for c in mcs.conflicts]}"
-            elif mcs.groups != cert.constraints:
-                claims[key] = "constraint transcript disagrees with the patterns and multiplier"
-            else:
-                claims[key] = prefix_fault(omega, l, mcs.groups, cert.prefix)
-        # last: the prefix, now known to cover |u| * |v|, bounds the cover's offset computations
-        if claims[key] or cert.cover is None:
-            return claims[key]
+        else:
+            key = (*literals, cert.multiplier, cert.constraints, cert.prefix)
+            if key not in claims:
+                mcs = multiplier_constraints(u, v, cert.multiplier)
+                if not mcs.satisfiable_form:
+                    claims[key] = f"constraints conflict at positions {[c[0] for c in mcs.conflicts]}"
+                elif mcs.groups != cert.constraints:
+                    claims[key] = "constraint transcript disagrees with the patterns and multiplier"
+                else:
+                    claims[key] = prefix_fault(omega, l, mcs.groups, cert.prefix)
+            # last: the prefix, now known to cover |u| * |v|, bounds the cover's offset computations
+            if claims[key] or cert.cover is None:
+                return claims[key]
         key = (*literals, cert.directional_base, cert.k, cert.cover)
         if key not in covers:
             covers[key] = _cover_fault(omega, l, u, v, cert)
         return f"cover: {covers[key]}" if covers[key] else None
 
     return [(False, why) if (why := fault(cert)) else (True, "ok") for cert in certs]
+
+
+def _all_alpha_fault(l: int, v: Pattern, claim: DirectionalAllAlpha) -> Optional[str]:
+    """Why the claim's modulus or v rules out its proof, or None; admissibility and the cover are checked after.
+
+    Lemma.  Let q = l**n with n >= 1, u and v admissible, and the cover
+    pass ``_cover_fault``: its offset bound is B = ``product_offset_bound``
+    (l, |u|, |v|) + n - 1, its common offset is K = k1 + n*k (|u| =
+    alpha1 * l**k1 with l not dividing alpha1), and it lists every (u
+    fiber, pad r <= B, v fiber) triple once, each pair's words (which
+    carry the two fibers' pins) fitting one base-space point with v's word
+    K + r depths deeper.  Then every multiplier M = |u| * alpha * q**k
+    with q not dividing alpha connects u to v.
+
+    Proof.  Write alpha = alpha' * l**s with l not dividing alpha', so
+    s <= n - 1 as q does not divide alpha.  For each of v's chains j,
+    M * j = alpha1 * alpha * j * l**K = c * l**(K + r) with c base-free
+    and r = v_l(alpha1 * alpha * j) = s + v_l(alpha1 * alpha' * j) <=
+    n - 1 + ``product_offset_bound`` = B.  So v's fiber on j lands on
+    chain c with every depth shifted by K + r.  Per target chain c:
+    - u has a fiber on c: the cover pair (c, r, j) shows u's fiber and
+      v's shifted fiber fit one point, since dropping pins keeps a point;
+    - u has none: any cover pair with v chain j and pad r shows v's fiber
+      fits alone at K + r, by the same dropping;
+    - c carries only u's fiber: u is admissible;
+    - nothing lands on c: any point of the (nonempty) base space.
+    Two v chains never share a target (``_PairProbe``'s injectivity), so
+    each target carries at most one v fiber, and by fiber independence
+    the per-chain points make one point of the subshift.
+
+    The offset bound takes time linear in |v|, so a v longer than
+    ``PREFIX_GUARD`` is refused; for a per-multiplier certificate the
+    prefix bounds it.
+    """
+    dq = decompose(claim.directional_base, l)
+    if dq.alpha != 1 or dq.k < 1:
+        return f"directional base {claim.directional_base} is not {l}**n with n >= 1"
+    if v.length > witness_mod.PREFIX_GUARD:
+        return f"v's length {v.length} is past the cap {witness_mod.PREFIX_GUARD}"
+    return None
+
+
+def _gap_index_fault(omega: ShiftSpec, threshold: int) -> Optional[str]:
+    """Why ``threshold`` is no gap index of the base space, or None; re-derived here, not read from the deciders.
+
+    N is a gap index when every admissible word connects to every
+    admissible word across any N or more free positions:
+    - finite type: every row of A**N, the N-th boolean power of the
+      pruned window graph's adjacency, is every window.  A**N comes from
+      repeated squaring of per-window successor sets; once a power is
+      full, every later one is, since every window has a successor;
+    - cofinite gap set: N > every banned gap.
+    Other specs have no check here, and N >= 1 always.
+
+    Why a gap index proves ``MixingPastThreshold``: let M = |u| * m with
+    m >= l**N, and c a chain that carries u's pins and a v chain's pins.
+    u's pins sit at positions c * l**(d - 1) <= |u|, and v's at M * p >=
+    |u| * l**N, so v's first depth D on c satisfies c * l**(D - 1) >=
+    |u| * l**N >= c * l**(d + N - 1): D >= d + N for u's last depth d.
+    With window W, u's point up to its window ending at max(d, W) and
+    v's point from its window starting at D are joined by any path of
+    length D + W - 1 - max(d, W) >= N, which A**N full provides (a
+    cofinite gap set allows every distance >= N between u's and v's
+    ones).  Chains that carry one pattern's pins fit by admissibility,
+    v's chains land on distinct chains, and fiber independence joins the
+    chains into one point.
+    """
+    if threshold < 1:
+        return f"gap index {threshold} is below 1"
+    if isinstance(omega, SpacingSpec):
+        if omega.declared_class != "cofinite":
+            return f"a {omega.declared_class} gap set has no gap index"
+        top = max(omega.complement, default=0)
+        return None if threshold > top else f"gap {top} is banned, so {threshold} is no gap index"
+    g = shift_core.build_graph(omega)
+    # rows: A**(2**i), with 2**i <= N; power: the product of the A**(2**j) for N's set bits j < i
+    power, rows, n = None, g.succ, threshold
+    while not all(r == g.full for r in rows):
+        if n & 1:
+            power = rows if power is None else [shift_core._advance(rows, r) for r in power]
+        n >>= 1
+        if not n:
+            if all(r == g.full for r in power):
+                return None
+            return f"not every window reaches every window in {threshold} steps: {threshold} is no gap index"
+        rows = [shift_core._advance(rows, r) for r in rows]
+    return None
 
 
 def prefix_fault(omega: ShiftSpec, l: int, groups: tuple, prefix: str) -> Optional[str]:
@@ -201,7 +311,7 @@ def prefix_fault(omega: ShiftSpec, l: int, groups: tuple, prefix: str) -> Option
     return None
 
 
-def _cover_fault(omega: ShiftSpec, l: int, u: Pattern, v: Pattern, cert: WitnessCertificate) -> Optional[str]:
+def _cover_fault(omega: ShiftSpec, l: int, u: Pattern, v: Pattern, cert: Certificate) -> Optional[str]:
     """What is wrong with the certificate's connector cover, or None.
 
     The cover claims that u's fiber words, each at depth 1, connect to
@@ -773,8 +883,9 @@ def _campaign_row(spec: ShiftSpec, l: int, budget: SearchBudget) -> CampaignRow:
         return row
 
     pats = x_block_patterns(spec, l, budget.pair_length_bound)
-    grid = _PairGrid(spec, l, pats, 2 * budget.k_bound + 1)  # the directional check reads depth n*k at n = 2
-    certs: list[tuple[str, WitnessCertificate]] = []  # (check, certificate), in build order
+    # the directional check reads depth n*k + v_l(alpha) <= 2*k + 1 at n = 2, alpha in A_{l**2}
+    grid = _PairGrid(spec, l, pats, 2 * budget.k_bound + 2)
+    certs: list[tuple[str, Certificate]] = []  # (check, certificate), in build order
     _check_transitivity(row, spec, l, budget, pats, grid, certs)
     _check_directional(row, spec, l, budget, pats, grid, certs)
     _check_mixing(row, spec, l, budget, pats, grid, certs)
@@ -859,12 +970,14 @@ def _check_directional(row, spec, l, budget, pats, grid, certs) -> None:
     wm = row.omega_verdicts["weakly_mixing"]
     capped = False  # a cover past the prefix cap refutes nothing, and proves nothing either
     for label, n in (("directional_l", 1), ("directional_l2", 2)):
-        alphas = a_set(l**n, budget.alpha_bound)
+        # |u| * alpha * l**(n*k) is the multiplier |u| * alpha' * l**(n*k + s) with alpha = alpha' * l**s and
+        # alpha' l-free: the grid fills each alpha' once
+        reads = [decompose(alpha, l) for alpha in a_set(l**n, budget.alpha_bound)]
         witnessed = 0  # pairs with one depth k that every alpha accepts
         for k in range(budget.k_bound + 1):
             uniform = grid.full
-            for alpha in alphas:
-                uniform &= grid.depths(alpha)[n * k]
+            for d in reads:
+                uniform &= grid.depths(d.alpha)[n * k + d.k]
             witnessed |= uniform
         # one proved negative fixes the label, and the first non-witnessed pair comes at or
         # before it, so the pairs after it are not probed
@@ -910,7 +1023,7 @@ def _check_directional(row, spec, l, budget, pats, grid, certs) -> None:
         for u, v in _subset_pairs(pats):
             for n in (1, 2):
                 try:
-                    dw = witness_mod.witness_directional_power(spec, l, n, u, v, budget.alpha_bound)
+                    certs.append(("directional", witness_mod.witness_directional_all_alpha(spec, l, n, u, v)))
                 except ConnectorNotFound:
                     row.hard.append(
                         {"check": "directional", "kind": "cover_connector_missing", "n": n,
@@ -918,7 +1031,6 @@ def _check_directional(row, spec, l, budget, pats, grid, certs) -> None:
                     )
                     row.checks["directional"] = "fail"
                     return
-                certs.extend(("directional", cert) for cert in dw.certificates)
         row.checks["directional"] = "inconclusive" if capped else "pass"
     else:
         if row.x_probes["directional_l"] == "proved_negative" or row.x_probes["directional_l2"] == "proved_negative":
@@ -961,10 +1073,7 @@ def _check_mixing(row, spec, l, budget, pats, grid, certs) -> None:
                 row.checks["mixing"] = "fail"
                 return
         row.x_probes["mixing"] = "witnessed"
-        picks = [window[0], window[len(window) // 2], window[-1]]
-        for u, v in _subset_pairs(pats):
-            mw = witness_mod.witness_mixing(spec, l, u, v)
-            certs.extend(("mixing", mw.build(alpha, k)) for alpha, k in picks)
+        certs.extend(("mixing", witness_mod.witness_mixing(spec, l, u, v).claim) for u, v in _subset_pairs(pats))
         row.checks["mixing"] = "pass"
         return
     # predicted not mixing: some pair must fail at arbitrarily large multipliers.  That is the

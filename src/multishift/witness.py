@@ -18,12 +18,18 @@ The three constructions:
   the simultaneous connection.
 * ``witness_mixing``: past a gap-index threshold every multiplier works;
   mixing of the base space provides the per-chain connections.
+
+The last two claims quantify over infinitely many multipliers.  Each is
+also stated once, by a certificate with no prefix that the verifier
+checks in full: ``DirectionalAllAlpha`` (one depth for every alpha,
+from ``witness_directional_all_alpha``) and ``MixingPastThreshold``
+(every multiplier past the threshold, ``MixingWitness.claim``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from . import shift_core
 from .errors import (
@@ -39,14 +45,18 @@ from .mult_shift import Pattern, format_pattern, least_block, multiplier_constra
 from .shift_core import ShiftSpec, decide, least_word, mixing_gap_index, word_pins
 
 __all__ = [
+    "Certificate",
     "ConnectorCover",
+    "DirectionalAllAlpha",
     "DirectionalWitness",
+    "MixingPastThreshold",
     "MixingWitness",
     "WitnessCertificate",
     "certificate_to_dict",
     "certificate_from_dict",
     "check_prefix_total",
     "try_certificate",
+    "witness_directional_all_alpha",
     "witness_directional_coprime",
     "witness_directional_power",
     "witness_mixing",
@@ -88,22 +98,60 @@ class WitnessCertificate:
     cover: Optional[ConnectorCover] = None
 
 
-@dataclass(frozen=True)
-class DirectionalWitness:
-    """Uniform depth step plus per-multiplier certificates for a directional claim."""
+# the claims with no prefix and DirectionalWitness are named tuples, not frozen dataclasses: one takes a
+# tenth of the time to create, and every CLI call and campaign worker imports this module
 
-    q: int
+
+class DirectionalAllAlpha(NamedTuple):
+    """Depth k connects u to v at every multiplier |u| * alpha * q**k with q = l**n not dividing alpha.
+
+    The cover is the whole justification: ``oracle.verify_certificates``
+    checks it and the patterns, and ``oracle._all_alpha_fault`` proves
+    that those checks cover every alpha at once.
+    """
+
+    u_literal: str
+    v_literal: str
+    directional_base: int  # q
     k: int
-    certificates: tuple[WitnessCertificate, ...]
     cover: ConnectorCover
+    construction = "directional_all_alpha"
+
+
+class MixingPastThreshold(NamedTuple):
+    """Every multiplier |u| * m with m >= l**threshold connects u to v.
+
+    ``oracle.verify_certificates`` re-derives that the threshold is a gap
+    index of the base space; ``oracle._gap_index_fault`` proves the claim
+    from that.
+    """
+
+    u_literal: str
+    v_literal: str
+    threshold: int
+    construction = "mixing_past_threshold"
+
+
+Certificate = Union[WitnessCertificate, DirectionalAllAlpha, MixingPastThreshold]
+
+
+class DirectionalWitness(NamedTuple):
+    """A directional claim for every alpha plus its certificates for the alphas up to a bound."""
+
+    claim: DirectionalAllAlpha
+    certificates: tuple[WitnessCertificate, ...]
+    q = property(lambda self: self.claim.directional_base)
+    k = property(lambda self: self.claim.k)
+    cover = property(lambda self: self.claim.cover)
 
 
 @dataclass(frozen=True)
 class MixingWitness:
-    """Gap-index threshold plus a certificate constructor past it."""
+    """Gap-index threshold, the claim for every multiplier past it, and a certificate constructor."""
 
     threshold: int
     build: Callable[[int, int], WitnessCertificate]
+    claim: MixingPastThreshold
 
 
 def _fiber_words(u: Pattern) -> dict[int, str]:
@@ -286,6 +334,20 @@ def _pad_word(omega: ShiftSpec, r: int, vw: str) -> str:
     return word[:r]
 
 
+def witness_directional_all_alpha(omega: ShiftSpec, l: int, n: int, u: Pattern, v: Pattern) -> DirectionalAllAlpha:
+    """One depth step k for the modulus q = l**n, claimed for every alpha at once.
+
+    Builds the finite fiber-pair cover and its common connector offset K;
+    k = (K - k1)/n.  The claim carries no prefix: the cover is its proof.
+    """
+    if n < 1:
+        raise ValueError("power must be >= 1")
+    _premise(omega, "weakly_mixing", u, v)
+    cover = _connector_cover(omega, l, n, u, v)
+    k = (cover.common_offset - decompose(u.length, l).k) // n
+    return DirectionalAllAlpha(format_pattern(u), format_pattern(v), l**n, k, cover)
+
+
 def witness_directional_power(
     omega: ShiftSpec,
     l: int,
@@ -294,37 +356,31 @@ def witness_directional_power(
     v: Pattern,
     alpha_bound: int,
 ) -> DirectionalWitness:
-    """Directional witnesses for the modulus l**n with one depth step for all multipliers.
+    """The claim of ``witness_directional_all_alpha`` plus its certificates for every alpha up to alpha_bound.
 
-    Builds the finite fiber-pair cover, finds the common connector offset
-    K, and returns k = (K - k1)/n together with certificates for every
-    admissible alpha up to alpha_bound.  The cover itself is the
-    uniform-in-alpha justification and is recorded on each certificate.
+    Each alpha's certificate holds the admissible prefix at the
+    multiplier |u| * alpha * q**k and records the claim's cover.
     """
-    if n < 1:
-        raise ValueError("power must be >= 1")
     if alpha_bound < 1:
         raise ValueError("alpha_bound must be >= 1")
-    _premise(omega, "weakly_mixing", u, v)
-    q = l**n
-    cover = _connector_cover(omega, l, n, u, v)
-    k1 = decompose(u.length, l).k
-    k = (cover.common_offset - k1) // n
+    claim = witness_directional_all_alpha(omega, l, n, u, v)
+    q, k = claim.directional_base, claim.k
     alphas = a_set(q, alpha_bound)
     check_prefix_total(u, v, (u.length * alpha * q**k for alpha in alphas))
     certs = tuple(
-        try_certificate(omega, l, u, v, alpha, k, "directional_power", directional_base=q, cover=cover)
+        try_certificate(omega, l, u, v, alpha, k, "directional_power", directional_base=q, cover=claim.cover)
         for alpha in alphas
     )
-    return DirectionalWitness(q=q, k=k, certificates=certs, cover=cover)
+    return DirectionalWitness(claim=claim, certificates=certs)
 
 
 def witness_mixing(omega: ShiftSpec, l: int, u: Pattern, v: Pattern) -> MixingWitness:
-    """Threshold N and a constructor for every multiplier alpha * l**k >= l**N.
+    """Threshold N, the claim that every multiplier |u| * m with m >= l**N works, and a constructor for one.
 
     N is the mixing gap index of the base space; past the threshold every
     chain collision leaves enough depth gap for the base space's uniform
-    connections.
+    connections.  ``build(alpha, k)`` gives the certificate, with its
+    prefix, at the multiplier |u| * alpha * l**k >= |u| * l**N.
     """
     _premise(omega, "mixing", u, v)
     threshold = mixing_gap_index(omega)
@@ -338,25 +394,26 @@ def witness_mixing(omega: ShiftSpec, l: int, u: Pattern, v: Pattern) -> MixingWi
             raise ValueError(f"alpha * l**k = {alpha * l ** k} is below the threshold {l ** threshold}")
         return try_certificate(omega, l, u, v, alpha, k, "mixing_threshold")
 
-    return MixingWitness(threshold=threshold, build=build)
+    claim = MixingPastThreshold(format_pattern(u), format_pattern(v), threshold)
+    return MixingWitness(threshold=threshold, build=build, claim=claim)
 
 
 # ---------------------------------------------------------------------------
 # serialization (consumed by the CLI verify subcommand)
 
 
-def certificate_to_dict(cert: WitnessCertificate) -> dict:
-    out = {
-        "alpha": cert.alpha,
-        "k": cert.k,
-        "multiplier": cert.multiplier,
-        "directional_base": cert.directional_base,
-        "construction": cert.construction,
-        "u": cert.u_literal,
-        "v": cert.v_literal,
-        "constraints": [[rep, [list(c) for c in cons]] for rep, cons in cert.constraints],
-        "prefix": cert.prefix,
-    }
+def certificate_to_dict(cert: Certificate) -> dict:
+    out = {"construction": cert.construction, "u": cert.u_literal, "v": cert.v_literal}
+    if isinstance(cert, MixingPastThreshold):
+        return {**out, "threshold": cert.threshold}
+    out.update(k=cert.k, directional_base=cert.directional_base)
+    if not isinstance(cert, DirectionalAllAlpha):
+        out.update(
+            alpha=cert.alpha,
+            multiplier=cert.multiplier,
+            constraints=[[rep, [list(c) for c in cons]] for rep, cons in cert.constraints],
+            prefix=cert.prefix,
+        )
     if cert.cover is not None:
         out["cover"] = {
             "offset_bound": cert.cover.offset_bound,
@@ -366,7 +423,13 @@ def certificate_to_dict(cert: WitnessCertificate) -> dict:
     return out
 
 
+# the fields each kind requires, by construction; any other construction names a per-multiplier certificate
+_QUANTIFIED_FIELDS = {
+    DirectionalAllAlpha.construction: ("construction", "u", "v", "directional_base", "k", "cover"),
+    MixingPastThreshold.construction: ("construction", "u", "v", "threshold"),
+}
 _CERT_FIELDS = ("alpha", "k", "multiplier", "directional_base", "construction", "u", "v", "constraints", "prefix")
+_LEAST = {"alpha": 1, "k": 0, "multiplier": 1, "directional_base": 2, "threshold": 0}
 
 
 def _require(ok: bool, what: str) -> None:
@@ -396,25 +459,28 @@ def _is_cover_pair(p) -> bool:
     )
 
 
-def certificate_from_dict(data: dict) -> WitnessCertificate:
+def certificate_from_dict(data: dict) -> Certificate:
     """Parse the JSON form written by certificate_to_dict.
 
-    Every field's type and shape is checked, and a missing or malformed
-    field raises SpecError.  ``directional_base`` is required: the
-    verifier re-derives the multiplier from it.
+    ``construction`` picks the kind: ``directional_all_alpha`` and
+    ``mixing_past_threshold`` name the claims with no prefix, any other
+    string a per-multiplier certificate.  Every field's type and shape is
+    checked, and a missing or malformed field raises SpecError.
+    ``directional_base`` is required where the kind has it: the verifier
+    re-derives the multiplier, or the modulus, from it.
     """
     _require(isinstance(data, dict), "not a JSON object")
-    missing = [name for name in _CERT_FIELDS if name not in data]
+    kind = data.get("construction")
+    fields = _QUANTIFIED_FIELDS.get(kind, _CERT_FIELDS) if isinstance(kind, str) else _CERT_FIELDS
+    missing = [name for name in fields if name not in data]
     _require(not missing, f"missing fields {missing}")
-    for name, low in (("alpha", 1), ("k", 0), ("multiplier", 1), ("directional_base", 2)):
-        _require(_is_int(data[name], low), f"{name!r} must be an integer >= {low}")
+    for name, low in _LEAST.items():
+        if name in fields:
+            _require(_is_int(data[name], low), f"{name!r} must be an integer >= {low}")
     for name in ("construction", "u", "v"):
         _require(isinstance(data[name], str), f"{name!r} must be a string")
-    _require(_is_digits(data["prefix"]), "'prefix' must be a digit string")
-    _require(
-        isinstance(data["constraints"], list) and all(_is_pins(g) for g in data["constraints"]),
-        "'constraints' must be a list of [rep, [[depth, symbol], ...]]",
-    )
+    if kind == MixingPastThreshold.construction:
+        return MixingPastThreshold(data["u"], data["v"], data["threshold"])
     cover = None
     if "cover" in data:
         raw = data["cover"]
@@ -428,6 +494,13 @@ def certificate_from_dict(data: dict) -> WitnessCertificate:
             common_offset=raw["common_offset"],
             pairs=tuple(tuple(p) for p in raw["pairs"]),
         )
+    if kind == DirectionalAllAlpha.construction:
+        return DirectionalAllAlpha(data["u"], data["v"], data["directional_base"], data["k"], cover)
+    _require(_is_digits(data["prefix"]), "'prefix' must be a digit string")
+    _require(
+        isinstance(data["constraints"], list) and all(_is_pins(g) for g in data["constraints"]),
+        "'constraints' must be a list of [rep, [[depth, symbol], ...]]",
+    )
     return WitnessCertificate(
         alpha=data["alpha"],
         k=data["k"],

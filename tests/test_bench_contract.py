@@ -1,7 +1,7 @@
 """The benchmark's view of the program: every function it traces must exist,
 a plain seed-1 round of each workload runs clean and gives its pinned output,
-and the seed-1 campaign checks each connector cover once and each distinct
-certificate claim once per row.
+and the seed-1 campaign checks each connector cover once and builds and
+checks each distinct certificate claim once per row.
 
 ``bench/tracer.py`` wraps the functions listed in its ``TARGETS`` when a
 traced round starts; a renamed or deleted one would kill that round
@@ -41,7 +41,7 @@ def test_traced_target_resolves(module, path):
 # sha256 of every op's output in a seed-1 round; a change that alters an answer updates these
 # and lists the outputs it changed
 SEED_1_DIGESTS = {
-    "campaign": "17057e5a4dc9da38570b380f7b56de507dcf707048aa24b2397db7e70d48e7ad",
+    "campaign": "366db98dce27b870e0ae9b71e08c6ab34647d224983fd95140459316f37011d2",
     "probe-deep": "d1b8128c4a882c2deba9b5931c752eea3d6ea410453a00f97155f68e93ddc1e0",
     "certify": "d55a7acc61cb66e217c09f1ea888d7e7554bb872894d3a1923b9d75e7e2d6c89",
 }
@@ -66,35 +66,45 @@ def test_seed_1_round_runs_clean(tmp_path, monkeypatch, workload):
 
 
 def _seed_1_campaign_checks(monkeypatch):
-    """The seed-1 bench campaign's prefix-check and cover-check arguments, and its certificate count."""
+    """The seed-1 bench campaign's prefix-check and cover-check arguments, its certificate count, and the
+    certificates built with a prefix, each with its row's number."""
     monkeypatch.syspath_prepend(str(TRACER.parent))
     workloads = importlib.import_module("workloads")
-    from multishift import oracle, shift_core
+    from multishift import oracle, shift_core, witness
 
-    prefixes, covers = [], []
-    prefix_fault, cover_fault = oracle.prefix_fault, oracle._cover_fault
+    prefixes, covers, builds = [], [], []
+    prefix_fault, cover_fault, build = oracle.prefix_fault, oracle._cover_fault, witness.try_certificate
     monkeypatch.setattr(oracle, "prefix_fault", lambda *args: prefixes.append(args) or prefix_fault(*args))
     monkeypatch.setattr(oracle, "_cover_fault", lambda *args: covers.append(args) or cover_fault(*args))
+
+    def counted(*args, **kwargs):
+        builds.append((row, build(*args, **kwargs)))
+        return builds[-1][1]
+
+    monkeypatch.setattr(witness, "try_certificate", counted)
     inputs = workloads.campaign_inputs(1)
-    certificates = 0
+    certificates = row = 0
     for d in inputs["specs"]:
         for l in inputs["l_values"]:
+            row += 1
             report = oracle.campaign([shift_core.sft(d["alphabet"], d["forbidden"])], [l], oracle.SearchBudget())
             certificates += report.certificates_checked
-    return prefixes, covers, certificates
+    return prefixes, covers, certificates, builds
 
 
 def test_seed_1_campaign_checks_each_cover_once(monkeypatch):
-    # every certificate of one directional witness carries the same cover: 1,352 covered
-    # certificates in this round, and the verifier checks each of the 208 distinct covers once
-    _, checks, _ = _seed_1_campaign_checks(monkeypatch)
+    # a directional claim and the per-alpha certificates of a pair not witnessed within the budget
+    # carry one cover each: the verifier checks each of the 208 distinct covers once
+    _, checks, _, _ = _seed_1_campaign_checks(monkeypatch)
     covers = {(omega, l, c.u_literal, c.v_literal, c.directional_base, c.k, c.cover) for omega, l, _, _, c in checks}
     assert len(checks) == len(covers) == 208
 
 
 def test_seed_1_campaign_checks_each_claim_once_per_row(monkeypatch):
-    # the q = l and q = l**2 lists, the mixing picks and the transitive certificates of a row land
-    # on the same multipliers: 1,858 certificates hold 1,465 distinct (u, v, multiplier) claims per
-    # row, and each is prefix-checked once
-    prefixes, covers, certificates = _seed_1_campaign_checks(monkeypatch)
-    assert (len(prefixes), certificates, len(covers)) == (1465, 1858, 208)
+    # each (u, v, n) directional claim and each mixing pair is one certificate with no prefix, so only
+    # the transitive certificates carry prefixes: 518 certificates, of which 212 are built with a
+    # prefix, once per distinct (u, v, multiplier) claim of a row, and prefix-checked once each
+    prefixes, covers, certificates, builds = _seed_1_campaign_checks(monkeypatch)
+    claims = {(row, c.u_literal, c.v_literal, c.multiplier) for row, c in builds}
+    assert (len(prefixes), certificates, len(covers)) == (212, 518, 208)
+    assert len(builds) == len(claims) == len(prefixes)

@@ -750,3 +750,154 @@ def test_verify_out_of_alphabet_prefix_symbol_is_rejected_not_an_error(capsys, g
     assert code == 1
     assert json.loads(out)["results"][0]["reason"] == "prefix is not an admissible block"
     assert err == ""
+
+
+# --- claims over every multiplier, through `multishift verify` ---------------------------------
+
+
+def _claim_payload(spec, l, claim):
+    from multishift.shift_core import spec_to_dict
+
+    return {"spec": spec_to_dict(spec), "l": l, "certificate": witness.certificate_to_dict(claim)}
+
+
+def _directional_claim(spec=sft(2, ["11"]), l=2, n=1, u="01", v="10"):
+    from multishift.mult_shift import Pattern
+
+    return witness.witness_directional_all_alpha(spec, l, n, Pattern.block(u, l, spec), Pattern.block(v, l, spec))
+
+
+def _mixing_claim(spec, l=2, u="01", v="10"):
+    from multishift.mult_shift import Pattern
+
+    return witness.witness_mixing(spec, l, Pattern.block(u, l, spec), Pattern.block(v, l, spec)).claim
+
+
+def test_verify_accepts_genuine_claims(capsys, tmp_path):
+    golden = sft(2, ["11"])
+    for n in (1, 2):
+        payload = _claim_payload(golden, 2, _directional_claim(n=n))
+        code, out, _ = _verify_payload(capsys, tmp_path, payload)
+        assert (code, json.loads(out)) == (0, {"verified": True, "results": [
+            {"ok": True, "reason": "ok", "claim": "directional_all_alpha"}
+        ]})
+    for spec, l in ((golden, 2), (sft(2, ["11", "1001"]), 3), (spacing("cofinite", [2, 5]), 2)):
+        payload = _claim_payload(spec, l, _mixing_claim(spec, l, "0", "1"))
+        code, out, _ = _verify_payload(capsys, tmp_path, payload)
+        assert code == 0 and json.loads(out)["results"][0]["claim"] == "mixing_past_threshold"
+
+
+@pytest.mark.parametrize(
+    "how, reason",
+    [
+        ("pair_dropped", "cover: pairs do not list every (u fiber, v fiber, pad) triple exactly once"),
+        ("pad_length", "cover: pad '00' does not have length 1"),
+        ("pad_symbol", "cover: pad '1' followed by v's word '10' is not admissible"),
+        ("offset_bound", "cover: offset bound 0 is not the product offset bound plus 0"),
+        ("k", "cover: common offset 3 is not k1 + 1*3"),
+        ("modulus", "directional base 6 is not 2**n with n >= 1"),
+    ],
+)
+def test_verify_rejects_a_tampered_directional_claim(capsys, tmp_path, how, reason):
+    payload = _claim_payload(sft(2, ["11"]), 2, _directional_claim())
+    cert = payload["certificate"]
+    assert (cert["k"], cert["cover"]["offset_bound"], cert["cover"]["common_offset"]) == (2, 1, 3)
+    if how == "k":
+        cert["k"] += 1
+    elif how == "modulus":
+        cert["directional_base"] = 6
+    else:  # the cover tampers of `test_verify_rejects_tampered_cover`
+        _tamper_cover(cert["cover"], how)
+    code, out, err = _verify_payload(capsys, tmp_path, payload)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"verified": False, "results": [
+        {"ok": False, "reason": reason, "claim": "directional_all_alpha"}
+    ]}
+
+
+@pytest.mark.parametrize(
+    "forbidden, exponent", [(["11"], 2), (["11", "101"], 4), (["000", "11"], 5), (["11", "1001"], 6)]
+)
+def test_verify_rejects_a_mixing_claim_one_below_the_primitivity_exponent(capsys, tmp_path, forbidden, exponent):
+    spec = sft(2, forbidden)
+    payload = _claim_payload(spec, 2, _mixing_claim(spec))
+    assert payload["certificate"]["threshold"] == exponent
+    payload["certificate"]["threshold"] -= 1
+    code, out, _ = _verify_payload(capsys, tmp_path, payload)
+    reason = f"not every window reaches every window in {exponent - 1} steps: {exponent - 1} is no gap index"
+    assert (code, json.loads(out)["results"][0]["reason"]) == (1, reason)
+
+
+@pytest.mark.parametrize(
+    "spec, reason",
+    [
+        (sft(2, ["00", "11"]), "is no gap index"),  # period 2
+        (sft(2, ["01"]), "is no gap index"),  # two components
+        (spacing("thick", [2, 5, 11, 17]), "a thick gap set has no gap index"),
+        (spacing("general", [5]), "a general gap set has no gap index"),
+        (spacing("cofinite", [1, 4]), "gap 4 is banned"),
+    ],
+)
+@pytest.mark.parametrize("threshold", [1, 2, 4, 100, 10**30])
+def test_verify_rejects_any_threshold_on_a_space_it_is_no_gap_index_of(capsys, tmp_path, spec, reason, threshold):
+    from multishift.witness import MixingPastThreshold
+
+    if "gap 4" in reason and threshold > 4:
+        threshold = 4  # a cofinite gap set is mixing: only thresholds up to its largest banned gap fail
+    payload = _claim_payload(spec, 2, MixingPastThreshold("block:1", "block:0", threshold))
+    code, out, _ = _verify_payload(capsys, tmp_path, payload)
+    assert code == 1 and reason in json.loads(out)["results"][0]["reason"]
+
+
+@pytest.mark.parametrize(
+    "kind, how",
+    [
+        ("mixing", "missing_threshold"), ("mixing", "string_threshold"), ("mixing", "bool_threshold"),
+        ("mixing", "negative_threshold"), ("directional", "missing_cover"), ("directional", "cover_shape"),
+        ("directional", "missing_base"), ("directional", "base_one"), ("directional", "construction_list"),
+    ],
+)
+def test_verify_exits_2_on_a_malformed_claim(capsys, tmp_path, kind, how):
+    golden = sft(2, ["11"])
+    claim = _mixing_claim(golden) if kind == "mixing" else _directional_claim()
+    payload = _claim_payload(golden, 2, claim)
+    cert = payload["certificate"]
+    if how == "missing_threshold":
+        cert.pop("threshold")
+    elif how == "string_threshold":
+        cert["threshold"] = "2"
+    elif how == "bool_threshold":
+        cert["threshold"] = True
+    elif how == "negative_threshold":
+        cert["threshold"] = -1
+    elif how == "missing_cover":
+        cert.pop("cover")
+    elif how == "cover_shape":
+        cert["cover"]["pairs"] = [[1, "0", 0]]
+    elif how == "missing_base":
+        cert.pop("directional_base")
+    elif how == "base_one":
+        cert["directional_base"] = 1
+    elif how == "construction_list":
+        cert["construction"] = ["directional_all_alpha"]
+    code, out, err = _verify_payload(capsys, tmp_path, payload)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed certificate")
+
+
+@pytest.mark.parametrize("forbidden, l_values", [(["0110", "1001", "1111"], "5"), (["0000", "1001", "1011"], "4,5,6")])
+def test_campaign_rows_past_the_old_mixing_prefix_cap_complete(capsys, tmp_path, forbidden, l_values):
+    # the mixing check built three sampled prefixes per pair, and on these rows one passed the prefix
+    # cap: the campaign exited 2 with "a prefix of 2343750 symbols exceeds the prefix cap 1048576"
+    # (1179648 at l = 4) and printed no row.  The claim for every multiplier past the threshold has no
+    # prefix, so each row completes with every check passed.
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "sft", "alphabet": 2, "forbidden": forbidden}))
+    code, out, err = run(capsys, "campaign", "--spec", str(path), "--l", l_values)
+    assert code == 0 and "error" not in err
+    rows = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
+    assert [row["l"] for row in rows] == [int(l) for l in l_values.split(",")]
+    for row in rows:
+        assert row["checks"] == {"transitivity": "pass", "directional": "pass", "mixing": "pass"}
+        assert set(row["x_probes"].values()) == {"witnessed"}
+        assert (row["certificates_checked"], row["certificate_failures"], row["hard"]) == (24, 0, [])

@@ -632,65 +632,98 @@ def test_campaign_paper_anchored_rows():
     }
 
 
+def test_gap_index_check_agrees_with_the_primitivity_exponent():
+    # the verifier's own route (repeated squaring of successor sets) against the decider's
+    # exponent: N passes exactly from the least gap index on, and no N passes on a space that is
+    # not mixing
+    specs = dedupe_by_language(binary_sft_family(2) + random_sft_family(60, seed=33, max_word_len=4))
+    specs += [sft(3, ["00", "12", "211"]), sft(2, ["11", "1001"])]
+    mixing = 0
+    for spec in specs:
+        if shift_core.decide(spec, "mixing").value:
+            mixing += 1
+            n = shift_core.mixing_gap_index(spec)
+            assert [oracle._gap_index_fault(spec, t) is None for t in range(n + 40)] == [False] * n + [True] * 40
+        elif shift_core.build_graph(spec).vertices:  # on an empty language every N holds vacuously
+            assert all(oracle._gap_index_fault(spec, t) for t in [*range(40), 10**40])
+    assert 10 < mixing < len(specs)
+    for complement in ([], [1], [2, 5], [1, 2, 3, 9]):
+        top = max(complement, default=0)
+        answers = [oracle._gap_index_fault(spacing("cofinite", complement), t) is None for t in range(top + 5)]
+        assert answers == [False] * (top + 1) + [True] * 4
+
+
 def test_a_campaign_row_checks_each_certificate_once(monkeypatch):
     # the builders check nothing: the row hands every certificate it builds to one verifier call,
-    # which runs one prefix check per distinct claim and one cover check per distinct cover
-    checks, covers, calls = [], [], []
-    prefix_fault, cover_fault, verify = oracle.prefix_fault, oracle._cover_fault, oracle.verify_certificates
+    # which runs one prefix check per distinct claim, one cover check per distinct cover and one
+    # gap-index check per threshold; the directional and mixing claims carry no prefix
+    checks, covers, gaps, calls = [], [], [], []
+    prefix_fault, cover_fault, gap_fault = oracle.prefix_fault, oracle._cover_fault, oracle._gap_index_fault
+    verify = oracle.verify_certificates
     monkeypatch.setattr(oracle, "prefix_fault", lambda *args: checks.append(args) or prefix_fault(*args))
     monkeypatch.setattr(oracle, "_cover_fault", lambda *args: covers.append(args[4]) or cover_fault(*args))
+    monkeypatch.setattr(oracle, "_gap_index_fault", lambda *args: gaps.append(args[1]) or gap_fault(*args))
     monkeypatch.setattr(oracle, "verify_certificates", lambda *args: calls.append(args[2]) or verify(*args))
     row = oracle._campaign_row(GOLDEN, 2, SearchBudget())
     assert len(calls) == 1
     built = calls[0]
-    assert {cert.construction for cert in built} == {"transitive_prime_alpha", "directional_power", "mixing_threshold"}
-    claims = {(c.u_literal, c.v_literal, c.multiplier, c.constraints, c.prefix) for c in built}
-    assert len(checks) == len(claims) < row.certificates_checked == len(built)
-    distinct = {(c.u_literal, c.v_literal, c.directional_base, c.k, c.cover) for c in built if c.cover}
-    assert len(covers) == len(distinct) < sum(c.cover is not None for c in built)
-    assert (row.certificate_failures, row.hard) == (0, [])
+    kinds = ["transitive_prime_alpha"] * 6 + ["directional_all_alpha"] * 12 + ["mixing_past_threshold"] * 6
+    assert [cert.construction for cert in built] == kinds
+    claims = {(c.u_literal, c.v_literal, c.multiplier, c.constraints, c.prefix) for c in built[:6]}
+    assert len(checks) == len(claims) == 6
+    distinct = {(c.u_literal, c.v_literal, c.directional_base, c.k, c.cover) for c in built[6:18]}
+    assert len(covers) == len(distinct) == 12
+    assert gaps == [2] == [shift_core.mixing_gap_index(GOLDEN)]
+    assert (row.certificates_checked, row.certificate_failures, row.hard) == (24, 0, [])
 
 
-def test_a_campaign_row_records_a_certificate_the_verifier_rejects(flip_one_pin):
+def test_a_campaign_row_records_a_certificate_the_verifier_rejects(flip_one_pin, wrong_claims):
     row = oracle._campaign_row(GOLDEN, 2, SearchBudget())
-    assert flip_one_pin and row.certificate_failures == row.certificates_checked >= 1
+    assert row.certificate_failures == row.certificates_checked == len(flip_one_pin) + len(wrong_claims) == 24
     assert {entry["kind"] for entry in row.hard} == {"certificate_failed_verification"}
     assert row.hard[0]["reason"] == f"prefix violates the constraint at position {flip_one_pin[0]}"
+    bound = wrong_claims[0].cover.offset_bound
+    assert row.hard[6]["reason"] == f"cover: offset bound {bound} is not the product offset bound plus 0"
+    assert row.hard[-1]["reason"] == "not every window reaches every window in 1 steps: 1 is no gap index"
 
 
-def test_a_campaign_row_lists_certificate_failures_after_its_other_hard_entries(monkeypatch, flip_one_pin):
+def test_a_campaign_row_lists_certificate_failures_after_its_other_hard_entries(
+    monkeypatch, flip_one_pin, wrong_claims
+):
     # the directional check fails on its first pair, after the transitive certificates are built
-    # and before the mixing ones; the verifier runs after the last check, so its failures come last,
+    # and before the mixing claims; the verifier runs after the last check, so its failures come last,
     # in build order
     def no_connector(*args):
         raise ConnectorNotFound("no connector")
 
-    monkeypatch.setattr(witness, "witness_directional_power", no_connector)
+    monkeypatch.setattr(witness, "witness_directional_all_alpha", no_connector)
     row = oracle._campaign_row(GOLDEN, 2, SearchBudget())
     assert row.hard[0] == {
         "check": "directional", "kind": "cover_connector_missing", "n": 1, "pair": ("block:0", "block:0")
     }
     assert {e["kind"] for e in row.hard[1:]} == {"certificate_failed_verification"}
-    assert [e["check"] for e in row.hard[1:]] == ["transitivity"] * 6 + ["mixing"] * 18
+    assert [e["check"] for e in row.hard[1:]] == ["transitivity"] * 6 + ["mixing"] * 6
     reasons = [f"prefix violates the constraint at position {pos}" for pos in flip_one_pin]
+    reasons += ["not every window reaches every window in 1 steps: 1 is no gap index"] * len(wrong_claims)
     assert [e["reason"] for e in row.hard[1:]] == reasons
-    assert row.certificate_failures == row.certificates_checked == 24
+    assert row.certificate_failures == row.certificates_checked == 12
 
 
 def test_a_campaign_row_verifies_the_certificates_built_past_the_budget(monkeypatch, request):
     # at k_bound = 1 a pair of the q = l list of sft(2, ["00"]) at l = 3 has no uniform depth within
     # the budget; the row's first directional witness finds one deeper, and its 6 certificates are
-    # verified with the row's other 108
+    # verified with the row's other 24
     spec, budget = sft(2, ["00"]), SearchBudget(alpha_bound=9, k_bound=1, pair_length_bound=3)
     built, build = [], witness.witness_directional_power
     monkeypatch.setattr(witness, "witness_directional_power", lambda *args: built.append(build(*args)) or built[-1])
     row = oracle._campaign_row(spec, 3, budget)
     assert len(built[0].certificates) == 6
     assert "directional_l: a pair needed a depth step beyond the budget" in row.notes
-    assert (row.certificates_checked, row.certificate_failures, row.hard) == (114, 0, [])
+    assert (row.certificates_checked, row.certificate_failures, row.hard) == (30, 0, [])
     flipped = request.getfixturevalue("flip_one_pin")
+    claims = request.getfixturevalue("wrong_claims")
     row = oracle._campaign_row(spec, 3, budget)
-    assert row.certificate_failures == row.certificates_checked == len(flipped) == 114
+    assert row.certificate_failures == row.certificates_checked == len(flipped) + len(claims) - 1 == 30
     assert [e["check"] for e in row.hard[:12]] == ["transitivity"] * 6 + ["directional"] * 6
 
 
@@ -756,6 +789,28 @@ def test_acceptance_campaign_jsonl_is_pinned(monkeypatch):
 
     monkeypatch.delenv("MULTISHIFT_BUDGET", raising=False)
     report = campaign(binary_sft_family(2) + random_sft_family(200, seed=20191030), [2, 3])
-    assert (len(report.rows), report.certificates_checked, len(report.hard_contradictions)) == (82, 3518, 0)
+    assert (len(report.rows), report.certificates_checked, len(report.hard_contradictions)) == (82, 982, 0)
     digest = hashlib.sha256(report.to_jsonl().encode()).hexdigest()
-    assert digest == "a7daace14e0e46a7eb11306343b1275285c768684784c966005873cf8e735c00"
+    assert digest == "fc7716498465498a054829785c1f8cf3797977bde1ecae150c84fb16820ec46a"
+
+
+@pytest.mark.parametrize(
+    "l_values, rows, digest",
+    [
+        ([2, 3], 82, "e6317ddd731f075b2a63dad4c102652b96fcad60d8e5b716e311f7aaebf01a49"),
+        ([4, 5, 6], 123, "5a64266e12f0efe1d1a83a1a6076f69bac941904c15962ce069d8e8ba9d1d8a2"),
+    ],
+)
+def test_acceptance_campaign_answers_are_pinned_apart_from_the_certificate_count(monkeypatch, l_values, rows, digest):
+    # The acceptance family's JSONL with `certificates_checked` dropped from every row: a change to
+    # how positives are certified moves only that count, and cannot hide an answer change behind
+    # the re-pinned digest above.
+    import hashlib
+    import json
+
+    monkeypatch.delenv("MULTISHIFT_BUDGET", raising=False)
+    report = campaign(binary_sft_family(2) + random_sft_family(200, seed=20191030), l_values)
+    answers = [{k: v for k, v in row.to_dict().items() if k != "certificates_checked"} for row in report.rows]
+    text = "".join(json.dumps(answer, sort_keys=True) + "\n" for answer in answers)
+    assert (len(report.rows), report.certificate_failures, len(report.hard_contradictions)) == (rows, 0, 0)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -5,7 +5,7 @@ import pytest
 
 from brute import extract_fiber_point
 from multishift.errors import InadmissiblePattern, NoCoprimePrime, OutputGuardExceeded, PreconditionFailed
-from multishift.lambda_arith import a_set
+from multishift.lambda_arith import a_set, decompose
 from multishift.mult_shift import (
     Pattern,
     assemble,
@@ -19,9 +19,12 @@ from multishift.oracle import exists_witness_exact, prefix_fault, verify_certifi
 from multishift.shift_core import alphabet_of, blocks, least_word, sft, spacing
 from multishift.witness import (
     PREFIX_GUARD,
+    DirectionalAllAlpha,
+    MixingPastThreshold,
     certificate_from_dict,
     check_prefix_total,
     certificate_to_dict,
+    witness_directional_all_alpha,
     witness_directional_coprime,
     witness_directional_power,
     witness_mixing,
@@ -386,6 +389,85 @@ def test_witness_mixing_refuses_inadmissible():
     with pytest.raises(InadmissiblePattern) as err:
         witness_mixing(COFINITE, 6, u, v)
     assert err.value.detail == 1
+
+
+# --- claims over every multiplier ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "spec, l, n, u, v",
+    [
+        (GOLDEN, 2, 1, "10", "01"),
+        (GOLDEN, 2, 2, "1", "1"),
+        (sft(2, ["000", "11"]), 3, 1, "01", "10"),
+        (COFINITE, 3, 2, "100", "01"),
+        (THICK, 4, 1, "11", "1"),
+    ],
+)
+def test_a_directional_claim_holds_at_every_alpha_up_to_50(spec, l, n, u, v):
+    # differential: the claim for every alpha, checked once, against one exact certificate per alpha;
+    # |u| * alpha * q**k is |u| * alpha' * l**(n*k + s) for alpha = alpha' * l**s with alpha' l-free
+    u, v = block(u, l, spec), block(v, l, spec)
+    claim = witness_directional_all_alpha(spec, l, n, u, v)
+    assert claim.directional_base == l**n and verify_certificate(spec, l, claim) == (True, "ok")
+    certs = []
+    for alpha in a_set(l**n, 50):
+        d = decompose(alpha, l)
+        certs.append(exists_witness_exact(spec, l, u, v, d.alpha, n * claim.k + d.k))
+        assert certs[-1] is not None, alpha
+        assert certs[-1].multiplier == u.length * alpha * claim.directional_base**claim.k
+    assert verify_certificates(spec, l, certs) == [(True, "ok")] * len(certs)
+
+
+@pytest.mark.parametrize(
+    "spec, l, u, v",
+    [(GOLDEN, 2, "10", "01"), (FULL, 3, "1", "10"), (spacing("cofinite", [1]), 2, "100", "1"), (GOLDEN, 3, "01", "1")],
+)
+def test_a_mixing_claim_holds_at_every_multiplier_from_l_to_the_n_to_64_times_it(spec, l, u, v):
+    # differential: every m = alpha * l**k in [l**N, 64 * l**N] (each m once, alpha l-free)
+    u, v = block(u, l, spec), block(v, l, spec)
+    mw = witness_mixing(spec, l, u, v)
+    assert mw.claim == MixingPastThreshold(f"block:{u.block_word()}", f"block:{v.block_word()}", mw.threshold)
+    assert verify_certificate(spec, l, mw.claim) == (True, "ok")
+    low = l**mw.threshold
+    certs = []
+    for m in range(low, 64 * low + 1):
+        d = decompose(m, l)
+        certs.append(exists_witness_exact(spec, l, u, v, d.alpha, d.k))
+        assert certs[-1] is not None, m
+    assert verify_certificates(spec, l, certs) == [(True, "ok")] * len(certs)
+
+
+def test_the_directional_witness_is_its_claim_plus_one_certificate_per_alpha():
+    u, v = block("10", 2, GOLDEN), block("01", 2, GOLDEN)
+    dw = witness_directional_power(GOLDEN, 2, 2, u, v, alpha_bound=9)
+    assert dw.claim == witness_directional_all_alpha(GOLDEN, 2, 2, u, v)
+    assert (dw.q, dw.k, dw.cover) == (4, dw.claim.k, dw.claim.cover)
+    assert [(c.alpha, c.k, c.cover) for c in dw.certificates] == [(a, dw.k, dw.cover) for a in a_set(4, 9)]
+
+
+def test_claims_round_trip_through_json():
+    u, v = block("10", 2, GOLDEN), block("01", 2, GOLDEN)
+    claims = [witness_directional_all_alpha(GOLDEN, 2, 1, u, v), witness_mixing(GOLDEN, 2, u, v).claim]
+    for claim in claims:
+        data = certificate_to_dict(claim)
+        assert "prefix" not in data and data["construction"] == claim.construction
+        assert certificate_from_dict(data) == claim
+    assert isinstance(claims[0], DirectionalAllAlpha)
+
+
+def test_a_claim_with_an_inadmissible_pattern_fails():
+    u, v = block("10", 2, GOLDEN), block("01", 2, GOLDEN)
+    claims = [witness_directional_all_alpha(GOLDEN, 2, 1, u, v), witness_mixing(GOLDEN, 2, u, v).claim]
+    for claim in claims:
+        assert verify_certificate(GOLDEN, 2, claim._replace(u_literal="l=2;support=3,6;values=1,1")) == (
+            False, "u is inadmissible on chain 3"
+        )
+        assert verify_certificate(GOLDEN, 2, claim._replace(v_literal="block:11")) == (
+            False, "v is inadmissible on chain 1"
+        )
+    claim = claims[0]._replace(directional_base=6)
+    assert verify_certificate(GOLDEN, 2, claim) == (False, "directional base 6 is not 2**n with n >= 1")
 
 
 # --- fiber extraction ----------------------------------------------------------
