@@ -50,8 +50,6 @@ from .oracle import (
     probe_directional_q,
     probe_transitive_X,
     random_sft_family,
-    verify_certificate,
-    verify_certificates,
 )
 from .shift_core import (
     PropertyVerdict,
@@ -68,6 +66,7 @@ from .shift_core import (
     spec_from_dict,
     spec_to_dict,
 )
+from .verify import verify_certificate, verify_certificates
 from .witness import (
     DirectionalAllAlpha,
     MixingPastThreshold,

@@ -4,7 +4,10 @@ Subcommands: props, blocks, admissible, witness, verify, probe, campaign,
 dim, graph, decompose, offset-bound.  Specs are JSON files; patterns use
 the literal forms "block:1100" and "l=2;support=1,2,4;values=1,1,0".
 Exit codes: 0 success, 1 property or verification failure, 2 usage error,
-an output past its cap or a gap-set position past its horizon.
+an output past its cap or a gap-set position past its horizon.  A campaign
+row cut short by one of the last two is kept, with an "error" field, and
+the campaign exits 2 unless a hard contradiction or a certificate failure
+makes it exit 1.
 Identical invocations produce byte-identical output.
 """
 
@@ -15,7 +18,7 @@ import functools
 import json
 import sys
 
-from . import dimension, mult_shift, oracle, shift_core, witness as witness_mod
+from . import dimension, mult_shift, oracle, shift_core, verify, witness as witness_mod
 from .errors import (
     CertificateFailed,
     HorizonExceeded,
@@ -138,7 +141,7 @@ def cmd_witness(args) -> int:
             return 1
         certs = [cert]
     # the builders check nothing: every certificate passes the verifier before any prints
-    failed = [reason for ok, reason in oracle.verify_certificates(spec, args.l, certs) if not ok]
+    failed = [reason for ok, reason in verify.verify_certificates(spec, args.l, certs) if not ok]
     if failed:
         raise CertificateFailed(failed[0])
     payload = [witness_mod.certificate_to_dict(c) for c in certs]
@@ -161,7 +164,7 @@ def cmd_verify(args) -> int:
     if not raw_list:
         raise SpecError(f"{args.cert}: the certificate list is empty")
     certs = [witness_mod.certificate_from_dict(item) for item in raw_list]
-    answers = oracle.verify_certificates(spec, l, certs)
+    answers = verify.verify_certificates(spec, l, certs)
     ok_all = all(ok for ok, _ in answers)
     # a claim over every multiplier past a bound names its construction in place of one multiplier
     named = [
@@ -225,8 +228,13 @@ def cmd_campaign(args) -> int:
     else:
         sys.stdout.write(report.to_jsonl())
     sys.stdout.write(report.render_table())
+    errors = report.errors
+    if errors:
+        print(f"error: {len(errors)} of {len(report.rows)} rows cut short; first: {errors[0].error}", file=sys.stderr)
     print(f"elapsed: {report.elapsed:.1f}s", file=sys.stderr)
-    return 1 if report.hard_contradictions or report.certificate_failures else 0
+    if report.hard_contradictions or report.certificate_failures:
+        return 1
+    return 2 if errors else 0
 
 
 def cmd_dim(args) -> int:

@@ -50,7 +50,6 @@ __all__ = [
     "spacing",
     "spec_from_dict",
     "spec_to_dict",
-    "word_admissible",
 ]
 
 DEFAULT_HORIZON = 100_000
@@ -615,11 +614,6 @@ def _spacing_extendable(ctx: _Ctx, cmap: Mapping[int, int]) -> bool:
             if ones[b] - ones[a] in comp:
                 return False
     return True
-
-
-def word_admissible(spec: ShiftSpec, word: str) -> bool:
-    """Whether the word occurs in some point of the space."""
-    return offset_table(spec, (), word_pins(word))[0]
 
 
 def word_pins(word: str) -> tuple[tuple[int, int], ...]:

@@ -1,11 +1,12 @@
 """Constructive witnesses for connection claims in multiplicative subshifts.
 
 Each constructor proves a positive claim about the multiplicative
-subshift by exhibiting a certificate: a multiplier, the per-chain
-constraint groups it induces, and an explicit admissible prefix
-satisfying every constraint.  Certificates are deterministic
-(lexicographically least choices throughout) and re-checkable by the
-exact oracle.
+subshift by exhibiting a certificate.  A per-multiplier certificate
+holds a multiplier, the per-chain constraint groups it induces, and an
+explicit admissible prefix satisfying every constraint; the two claims
+over infinitely many multipliers (below) hold no prefix.  Certificates
+are deterministic (lexicographically least choices throughout) and
+re-checked by ``verify.verify_certificates``.
 
 The three constructions:
 
@@ -105,8 +106,8 @@ class WitnessCertificate:
 class DirectionalAllAlpha(NamedTuple):
     """Depth k connects u to v at every multiplier |u| * alpha * q**k with q = l**n not dividing alpha.
 
-    The cover is the whole justification: ``oracle.verify_certificates``
-    checks it and the patterns, and ``oracle._all_alpha_fault`` proves
+    The cover is the whole justification: ``verify.verify_certificates``
+    checks it and the patterns, and ``verify._all_alpha_fault`` proves
     that those checks cover every alpha at once.
     """
 
@@ -121,8 +122,8 @@ class DirectionalAllAlpha(NamedTuple):
 class MixingPastThreshold(NamedTuple):
     """Every multiplier |u| * m with m >= l**threshold connects u to v.
 
-    ``oracle.verify_certificates`` re-derives that the threshold is a gap
-    index of the base space; ``oracle._gap_index_fault`` proves the claim
+    ``verify.verify_certificates`` re-derives that the threshold is a gap
+    index of the base space; ``verify._gap_index_fault`` proves the claim
     from that.
     """
 
@@ -181,7 +182,7 @@ def try_certificate(
 
     The multiplier is |u| * alpha * base**k, with base ``directional_base``
     (``l`` when not given).  Nothing here checks the result:
-    ``oracle.verify_certificates`` does, from the patterns alone.  Raises
+    ``verify.verify_certificates`` does, from the patterns alone.  Raises
     CertificateFailed when no admissible prefix meets the constraints, and
     OutputGuardExceeded, before anything is built, when the prefix would
     be longer than PREFIX_GUARD.

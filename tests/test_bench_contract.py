@@ -70,12 +70,12 @@ def _seed_1_campaign_checks(monkeypatch):
     certificates built with a prefix, each with its row's number."""
     monkeypatch.syspath_prepend(str(TRACER.parent))
     workloads = importlib.import_module("workloads")
-    from multishift import oracle, shift_core, witness
+    from multishift import oracle, shift_core, verify, witness
 
     prefixes, covers, builds = [], [], []
-    prefix_fault, cover_fault, build = oracle.prefix_fault, oracle._cover_fault, witness.try_certificate
-    monkeypatch.setattr(oracle, "prefix_fault", lambda *args: prefixes.append(args) or prefix_fault(*args))
-    monkeypatch.setattr(oracle, "_cover_fault", lambda *args: covers.append(args) or cover_fault(*args))
+    prefix_fault, cover_fault, build = verify.prefix_fault, verify._cover_fault, witness.try_certificate
+    monkeypatch.setattr(verify, "prefix_fault", lambda *args: prefixes.append(args) or prefix_fault(*args))
+    monkeypatch.setattr(verify, "_cover_fault", lambda *args: covers.append(args) or cover_fault(*args))
 
     def counted(*args, **kwargs):
         builds.append((row, build(*args, **kwargs)))
@@ -93,10 +93,9 @@ def _seed_1_campaign_checks(monkeypatch):
 
 
 def test_seed_1_campaign_checks_each_cover_once(monkeypatch):
-    # a directional claim and the per-alpha certificates of a pair not witnessed within the budget
-    # carry one cover each: the verifier checks each of the 208 distinct covers once
+    # each directional claim carries one cover: the verifier checks each of the 208 distinct covers once
     _, checks, _, _ = _seed_1_campaign_checks(monkeypatch)
-    covers = {(omega, l, c.u_literal, c.v_literal, c.directional_base, c.k, c.cover) for omega, l, _, _, c in checks}
+    covers = {(omega, l, c.u_literal, c.v_literal, c.directional_base, c.k, c.cover) for omega, l, _, _, c, _ in checks}
     assert len(checks) == len(covers) == 208
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -302,7 +303,8 @@ _EXTREME_CALLS = [
     ),
     ("admissible --spec short --l 2 --pattern l=2;support=1,64;values=1,1", 0, 2,
      "error: position 7 exceeds horizon 5\n"),
-    ("campaign --spec thick20", 0, 2, "error: position 21 exceeds horizon 20\n"),
+    ("campaign --spec thick20", 0, 2,
+     "error: 1 of 2 rows cut short; first: HorizonExceeded: position 21 exceeds horizon 20\n"),
     ("offset-bound 6 10000000", 0, 0, ""),
     ("blocks --spec golden --n -1", 0, 2, "error: word length must be >= 1\n"),
     ("offset-bound 2 0", 0, 2, "error: expected n >= 1, got 0\n"),
@@ -346,6 +348,7 @@ def test_extreme_arguments_exit_with_a_message(capsys, tmp_path, call, mib, code
     else:
         got_code, _, err = run(capsys, *argv)
     elapsed = time.monotonic() - start
+    err = "".join(ln for ln in err.splitlines(keepends=True) if not ln.startswith("elapsed: "))  # campaign timing
     assert got_code in (0, 1, 2) and got_code == code, err
     assert not any(word in err for word in ("Traceback", "MemoryError", "RecursionError")), err
     assert err == stderr and (code != 2 or err.startswith("error:"))
@@ -475,15 +478,50 @@ def test_campaign_gap_set_rows_match_the_lazy_path_near_the_horizon(capsys, tmp_
             assert fast == outcome(path), (cls, comp, horizon)
         codes[cls, comp[0]] = fast[0], fast[2]
         outs[cls, comp[0]] = fast[1]
-    # the thick spec with banned gap 2 runs past horizon 20 on both paths, a bounded-search error
-    # (exit 2); with more room, its directional cover exceeds the prefix cap, which refutes
-    # nothing: the check is inconclusive
-    failure = (2, ["error: position 21 exceeds horizon 20"]) if horizon == 20 else (0, [])
+    # the thick spec with banned gap 2 runs past horizon 20 at l = 2 on both paths, a bounded-search
+    # error: that row is kept with the error and its open checks inconclusive, and the campaign exits 2.
+    # With more room, its pair not witnessed within the budget gets the claim for every alpha, which
+    # holds no prefix, and the directional check passes
+    error = "HorizonExceeded: position 21 exceeds horizon 20"
+    failure = (2, [f"error: 1 of 2 rows cut short; first: {error}"]) if horizon == 20 else (0, [])
     assert codes == {("cofinite", 1): (0, []), ("cofinite", 3): (0, []), ("thick", 1): (0, []), ("thick", 2): failure}
-    if horizon != 20:
-        row = json.loads(outs["thick", 2].splitlines()[0])
-        assert row["checks"]["directional"] == "inconclusive" and not row["hard"]
-        assert any("exceeds the prefix cap 1048576" in note for note in row["notes"])
+    row = json.loads(outs["thick", 2].splitlines()[0])
+    if horizon == 20:
+        assert row["error"] == error and row["checks"] == {
+            "transitivity": "pass", "directional": "inconclusive", "mixing": "inconclusive"
+        }
+        assert (row["certificates_checked"], row["certificate_failures"], row["hard"]) == (6, 0, [])
+    else:
+        assert row["checks"]["directional"] == "pass" and "error" not in row
+        assert (row["certificates_checked"], row["certificate_failures"], row["hard"]) == (19, 0, [])
+        assert "directional_l2: a pair needed a depth step beyond the budget" in row["notes"]
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_campaign_keeps_every_row_past_a_row_cut_short(capsys, tmp_path, request, flip):
+    # one row's bounded-search error used to end the campaign with no row printed; now the row is kept
+    # with its error, the other rows are those of a run without it, and the exit code is 2, or 1 when a
+    # certificate fails verification
+    paths = []
+    for name in ("golden", "thick20"):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(_EXTREME_SPECS[name]))
+    _, alone, _ = run(capsys, "campaign", "--spec", str(paths[0]), "--l", "2")
+    if flip:
+        request.getfixturevalue("flip_one_pin")
+    code, out, err = run(capsys, "campaign", "--spec", *map(str, paths), "--l", "2")
+    golden, thick = (json.loads(line) for line in out.splitlines()[:2])
+    error = "HorizonExceeded: position 21 exceeds horizon 20"
+    assert err.splitlines()[0] == f"error: 1 of 2 rows cut short; first: {error}"
+    failures = 12 if flip else 0  # the flipped pins break the 6 transitive prefixes of each row
+    assert out.splitlines()[-1] == f"rows=2 certificates=30 cert_failures={failures} hard={failures} errors=1"
+    assert thick["error"] == error
+    assert thick["checks"] == {"transitivity": "pass", "directional": "inconclusive", "mixing": "inconclusive"}
+    if flip:
+        assert code == 1 and thick["certificate_failures"] == 6
+    else:
+        assert code == 2 and alone.splitlines()[0] == json.dumps(golden, sort_keys=True)
+        assert "errors=" not in alone and "error" not in golden
 
 
 def test_dim(capsys):
@@ -785,6 +823,20 @@ def test_verify_accepts_genuine_claims(capsys, tmp_path):
         payload = _claim_payload(spec, l, _mixing_claim(spec, l, "0", "1"))
         code, out, _ = _verify_payload(capsys, tmp_path, payload)
         assert code == 0 and json.loads(out)["results"][0]["claim"] == "mixing_past_threshold"
+
+
+def test_verify_rejects_a_cover_whose_words_pin_one_position_twice(capsys, tmp_path):
+    # on the full 2-shift, u = block:0 and v = block:1 first connect at k = 1; at k = 0 and pad 0
+    # v's word lands on u's word, two symbols at one position: that fits no point (exit 1), and is
+    # not a malformed input (exit 2)
+    full = sft(2, [])
+    claim = _directional_claim(full, u="0", v="1")
+    assert claim.k == 1
+    cover = dataclasses.replace(claim.cover, common_offset=claim.cover.common_offset - 1)
+    payload = _claim_payload(full, 2, claim._replace(k=0, cover=cover))
+    code, out, err = _verify_payload(capsys, tmp_path, payload)
+    reason = "cover: u's word '0' and v's word '1' do not connect at pad 0"
+    assert (code, json.loads(out)["results"][0]["reason"], err) == (1, reason, "")
 
 
 @pytest.mark.parametrize(

@@ -19,8 +19,8 @@ from multishift.oracle import (
     random_sft_family,
     verify_certificate,
 )
-from multishift import oracle, shift_core, witness
-from multishift.errors import ConnectorNotFound
+from multishift import oracle, shift_core, verify, witness
+from multishift.errors import ConnectorNotFound, OutputGuardExceeded
 from multishift.shift_core import SpacingSpec, blocks, partial_extendable, sft, spacing
 
 GOLDEN = sft(2, ["11"])
@@ -643,13 +643,13 @@ def test_gap_index_check_agrees_with_the_primitivity_exponent():
         if shift_core.decide(spec, "mixing").value:
             mixing += 1
             n = shift_core.mixing_gap_index(spec)
-            assert [oracle._gap_index_fault(spec, t) is None for t in range(n + 40)] == [False] * n + [True] * 40
+            assert [verify._gap_index_fault(spec, t) is None for t in range(n + 40)] == [False] * n + [True] * 40
         elif shift_core.build_graph(spec).vertices:  # on an empty language every N holds vacuously
-            assert all(oracle._gap_index_fault(spec, t) for t in [*range(40), 10**40])
+            assert all(verify._gap_index_fault(spec, t) for t in [*range(40), 10**40])
     assert 10 < mixing < len(specs)
     for complement in ([], [1], [2, 5], [1, 2, 3, 9]):
         top = max(complement, default=0)
-        answers = [oracle._gap_index_fault(spacing("cofinite", complement), t) is None for t in range(top + 5)]
+        answers = [verify._gap_index_fault(spacing("cofinite", complement), t) is None for t in range(top + 5)]
         assert answers == [False] * (top + 1) + [True] * 4
 
 
@@ -658,12 +658,12 @@ def test_a_campaign_row_checks_each_certificate_once(monkeypatch):
     # which runs one prefix check per distinct claim, one cover check per distinct cover and one
     # gap-index check per threshold; the directional and mixing claims carry no prefix
     checks, covers, gaps, calls = [], [], [], []
-    prefix_fault, cover_fault, gap_fault = oracle.prefix_fault, oracle._cover_fault, oracle._gap_index_fault
-    verify = oracle.verify_certificates
-    monkeypatch.setattr(oracle, "prefix_fault", lambda *args: checks.append(args) or prefix_fault(*args))
-    monkeypatch.setattr(oracle, "_cover_fault", lambda *args: covers.append(args[4]) or cover_fault(*args))
-    monkeypatch.setattr(oracle, "_gap_index_fault", lambda *args: gaps.append(args[1]) or gap_fault(*args))
-    monkeypatch.setattr(oracle, "verify_certificates", lambda *args: calls.append(args[2]) or verify(*args))
+    prefix_fault, cover_fault, gap_fault = verify.prefix_fault, verify._cover_fault, verify._gap_index_fault
+    verify_all = oracle.verify_certificates
+    monkeypatch.setattr(verify, "prefix_fault", lambda *args: checks.append(args) or prefix_fault(*args))
+    monkeypatch.setattr(verify, "_cover_fault", lambda *args: covers.append(args[4]) or cover_fault(*args))
+    monkeypatch.setattr(verify, "_gap_index_fault", lambda *args: gaps.append(args[1]) or gap_fault(*args))
+    monkeypatch.setattr(oracle, "verify_certificates", lambda *args: calls.append(args[2]) or verify_all(*args))
     row = oracle._campaign_row(GOLDEN, 2, SearchBudget())
     assert len(calls) == 1
     built = calls[0]
@@ -711,20 +711,40 @@ def test_a_campaign_row_lists_certificate_failures_after_its_other_hard_entries(
 
 def test_a_campaign_row_verifies_the_certificates_built_past_the_budget(monkeypatch, request):
     # at k_bound = 1 a pair of the q = l list of sft(2, ["00"]) at l = 3 has no uniform depth within
-    # the budget; the row's first directional witness finds one deeper, and its 6 certificates are
-    # verified with the row's other 24
+    # the budget; the row's first directional witness finds one deeper, as one claim for every alpha
+    # (no per-alpha prefixes), which is verified with the row's other 24 certificates
     spec, budget = sft(2, ["00"]), SearchBudget(alpha_bound=9, k_bound=1, pair_length_bound=3)
-    built, build = [], witness.witness_directional_power
-    monkeypatch.setattr(witness, "witness_directional_power", lambda *args: built.append(build(*args)) or built[-1])
+    built, build = [], witness.witness_directional_all_alpha
+    monkeypatch.setattr(witness, "witness_directional_all_alpha", lambda *args: built.append(build(*args)) or built[-1])
     row = oracle._campaign_row(spec, 3, budget)
-    assert len(built[0].certificates) == 6
+    assert len(built) == 13 and built[0].k > budget.k_bound
     assert "directional_l: a pair needed a depth step beyond the budget" in row.notes
-    assert (row.certificates_checked, row.certificate_failures, row.hard) == (30, 0, [])
+    assert (row.certificates_checked, row.certificate_failures, row.hard) == (25, 0, [])
     flipped = request.getfixturevalue("flip_one_pin")
     claims = request.getfixturevalue("wrong_claims")
     row = oracle._campaign_row(spec, 3, budget)
-    assert row.certificate_failures == row.certificates_checked == len(flipped) + len(claims) - 1 == 30
-    assert [e["check"] for e in row.hard[:12]] == ["transitivity"] * 6 + ["directional"] * 6
+    assert row.certificate_failures == row.certificates_checked == len(flipped) + len(claims) == 25
+    assert [e["check"] for e in row.hard] == ["transitivity"] * 6 + ["directional"] * 13 + ["mixing"] * 6
+
+
+def test_a_campaign_row_cut_short_keeps_what_it_reached(monkeypatch):
+    # a bounded-search error ends only its row: the row keeps its finished checks and their verified
+    # certificates, its open checks become inconclusive and it records the error; any other exception
+    # is a bug and propagates
+    def raises(error):
+        def check(*args):
+            raise error
+
+        return check
+
+    monkeypatch.setattr(oracle, "_check_mixing", raises(OutputGuardExceeded("a prefix of 9 symbols exceeds the cap")))
+    row = oracle._campaign_row(GOLDEN, 2, SearchBudget())
+    assert row.to_dict()["error"] == "OutputGuardExceeded: a prefix of 9 symbols exceeds the cap"
+    assert row.checks == {"transitivity": "pass", "directional": "pass", "mixing": "inconclusive"}
+    assert (row.certificates_checked, row.certificate_failures, row.hard) == (18, 0, [])
+    monkeypatch.setattr(oracle, "_check_mixing", raises(RuntimeError("a bug")))
+    with pytest.raises(RuntimeError, match="a bug"):
+        oracle._campaign_row(GOLDEN, 2, SearchBudget())
 
 
 def test_campaign_jsonl_and_table():

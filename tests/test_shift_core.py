@@ -25,7 +25,6 @@ from multishift.shift_core import (
     spacing,
     spec_from_dict,
     spec_to_dict,
-    word_admissible,
     word_pins,
 )
 from multishift import shift_core
@@ -519,7 +518,7 @@ def test_implication_chain():
 def test_one_sided_extensibility_dead_end():
     # with 01 and 11 both forbidden nothing may precede a 1
     spec = sft(2, ["01", "11"])
-    assert word_admissible(spec, "1")
+    assert partial_extendable(spec, word_pins("1"))
     assert decide(spec, "extensible").value is False
 
 
@@ -647,7 +646,7 @@ def test_connector_gaps_pinned():
 def test_connector_gaps_match_bruteforce():
     for spec in (GOLDEN, ALT, RAMP, sft(2, ["000"])):
         for u, v in (("0", "1"), ("10", "01"), ("1", "10")):
-            if not (word_admissible(spec, u) and word_admissible(spec, v)):
+            if not (partial_extendable(spec, word_pins(u)) and partial_extendable(spec, word_pins(v))):
                 continue
             assert _connector_gaps(spec, u, v, 6) == brute_connector_gaps(spec, u, v, 6)
 

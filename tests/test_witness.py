@@ -15,8 +15,9 @@ from multishift.mult_shift import (
     is_admissible,
     least_block,
 )
-from multishift.oracle import exists_witness_exact, prefix_fault, verify_certificate, verify_certificates
+from multishift.oracle import exists_witness_exact, verify_certificate, verify_certificates
 from multishift.shift_core import alphabet_of, blocks, least_word, sft, spacing
+from multishift.verify import _fits, prefix_fault
 from multishift.witness import (
     PREFIX_GUARD,
     DirectionalAllAlpha,
@@ -86,9 +87,9 @@ def test_witness_transitive_routes_targets_past_u():
 
     for omega, l in ((RAMP, 2), (GOLDEN, 3), (sft(2, ["00"]), 4)):
         for uw, vw in (("00", "1"), ("0", "10"), ("010", "00")):
-            from multishift.shift_core import word_admissible
+            from multishift.shift_core import partial_extendable, word_pins
 
-            if not (word_admissible(omega, uw) and word_admissible(omega, vw)):
+            if not (partial_extendable(omega, word_pins(uw)) and partial_extendable(omega, word_pins(vw))):
                 continue
             u, v = block(uw, l, omega), block(vw, l, omega)
             cert = witness_transitive(omega, l, u, v, 1)
@@ -223,10 +224,10 @@ def _golden_directional_witness():
 
 
 def _count_cover_checks(monkeypatch):
-    from multishift import oracle
+    from multishift import verify
 
-    checks, cover_fault = [], oracle._cover_fault
-    monkeypatch.setattr(oracle, "_cover_fault", lambda *args: checks.append(args) or cover_fault(*args))
+    checks, cover_fault = [], verify._cover_fault
+    monkeypatch.setattr(verify, "_cover_fault", lambda *args: checks.append(args) or cover_fault(*args))
     return checks
 
 
@@ -280,10 +281,10 @@ def _repeated_claims():
 
 
 def _count_prefix_checks(monkeypatch):
-    from multishift import oracle
+    from multishift import verify
 
-    checks, prefix_fault = [], oracle.prefix_fault
-    monkeypatch.setattr(oracle, "prefix_fault", lambda *args: checks.append(args) or prefix_fault(*args))
+    checks, prefix_fault = [], verify.prefix_fault
+    monkeypatch.setattr(verify, "prefix_fault", lambda *args: checks.append(args) or prefix_fault(*args))
     return checks
 
 
@@ -533,7 +534,7 @@ def test_prefix_fault_matches_whole_block_admissibility():
                     pins[p] = (pins[p] + 1) % m
                 groups = tuple(Pattern.make(pins, l, omega).fibers().items())
                 violated = {p for p, sym in pins.items() if int(prefix[p - 1]) != sym}
-                fault = prefix_fault(omega, l, groups, prefix)
+                fault = prefix_fault(omega, l, groups, prefix, _fits(omega))
                 if violated:
                     seen["pin"] += 1
                     assert fault is not None and int(fault.rsplit(" ", 1)[1]) in violated, (omega, l, prefix, fault)
